@@ -38,24 +38,36 @@ BlackEngine::BlackEngine(const Dag& dag, std::size_t pebble_limit)
                 "pebble budget below max-indegree + 1 cannot pebble anything");
 }
 
-std::optional<std::string> BlackEngine::why_illegal(
-    const BlackState& state, const BlackMove& move) const {
-  if (!dag_->contains(move.node)) return "node id out of range";
+BlackEngine::Verdict BlackEngine::check(const BlackState& state,
+                                        const BlackMove& move) const {
+  if (!dag_->contains(move.node)) return {Rejection::NodeOutOfRange};
   const NodeId v = move.node;
   if (move.type == BlackMove::Type::Remove) {
-    if (!state.pebbled(v)) return "no pebble to remove";
-    return std::nullopt;
+    if (!state.pebbled(v)) return {Rejection::NothingToRemove};
+    return {};
   }
-  if (state.pebbled(v)) return "node already pebbled";
-  if (state.pebble_count() >= limit_) return "pebble budget exhausted";
+  if (state.pebbled(v)) return {Rejection::AlreadyPebbled};
+  if (state.pebble_count() >= limit_) return {Rejection::BudgetExhausted};
   for (NodeId u : dag_->predecessors(v)) {
-    if (!state.pebbled(u)) {
-      std::ostringstream os;
-      os << "input node " << u << " is not pebbled";
-      return os.str();
-    }
+    if (!state.pebbled(u)) return {Rejection::InputNotPebbled, u};
   }
-  return std::nullopt;
+  return {};
+}
+
+std::optional<std::string> BlackEngine::why_illegal(
+    const BlackState& state, const BlackMove& move) const {
+  const Verdict verdict = check(state, move);
+  switch (verdict.code) {
+    case Rejection::None: return std::nullopt;
+    case Rejection::NodeOutOfRange: return "node id out of range";
+    case Rejection::NothingToRemove: return "no pebble to remove";
+    case Rejection::AlreadyPebbled: return "node already pebbled";
+    case Rejection::BudgetExhausted: return "pebble budget exhausted";
+    case Rejection::InputNotPebbled: break;
+  }
+  std::ostringstream os;
+  os << "input node " << verdict.input << " is not pebbled";
+  return os.str();
 }
 
 void BlackEngine::apply(BlackState& state, const BlackMove& move) const {

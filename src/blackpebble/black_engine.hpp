@@ -9,6 +9,7 @@
 // at some point. There is no slow memory and no transfer cost.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -59,14 +60,35 @@ class BlackEngine {
   const Dag& dag() const { return *dag_; }
   std::size_t pebble_limit() const { return limit_; }
 
+  /// The legality verdict: string-free, allocation-free.
+  bool is_legal(const BlackState& state, const BlackMove& move) const {
+    return check(state, move).code == Rejection::None;
+  }
+  /// Diagnostics only: nullopt if legal, else a reason formatted from the
+  /// same verdict is_legal tests.
   std::optional<std::string> why_illegal(const BlackState& state,
                                          const BlackMove& move) const;
-  bool is_legal(const BlackState& state, const BlackMove& move) const {
-    return !why_illegal(state, move).has_value();
-  }
   void apply(BlackState& state, const BlackMove& move) const;
 
  private:
+  /// Which rule a move breaks; None when it is legal.
+  enum class Rejection : std::uint8_t {
+    None,
+    NodeOutOfRange,
+    NothingToRemove,
+    AlreadyPebbled,
+    BudgetExhausted,
+    InputNotPebbled,
+  };
+  struct Verdict {
+    Rejection code = Rejection::None;
+    NodeId input = 0;  ///< the offending input node of an InputNotPebbled
+  };
+
+  /// The rules, written once: is_legal tests the verdict, why_illegal
+  /// formats it.
+  Verdict check(const BlackState& state, const BlackMove& move) const;
+
   const Dag* dag_;
   std::size_t limit_;
 };

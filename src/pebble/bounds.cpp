@@ -487,6 +487,76 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
   return total;
 }
 
+template <class Masks>
+void StateBoundEvaluator::legal_moves(const Masks& state,
+                                      std::vector<Move>& moves) const {
+  moves.clear();
+  const Planes p = planes(state);
+  const std::size_t n = engine_->dag().node_count();
+  const Model& model = engine_->model();
+  std::size_t reds = 0;
+  for (std::size_t w = 0; w < p.words; ++w) reds += std::popcount(p.red[w]);
+  const bool room = reds < engine_->red_limit();
+  const bool spent_stay_spent = !model.allows_recompute();
+  const bool sources_blue = engine_->convention().sources_start_blue;
+  for (std::size_t w = 0; w < p.words; ++w) {
+    const std::size_t base = w << 6;
+    const std::uint64_t red = p.red[w];
+    const std::uint64_t loadable = room ? p.blue[w] : 0;
+    const std::uint64_t deletable = model.allows_delete() ? red | p.blue[w] : 0;
+    // Compute candidates: in range, not red, not a spent oneshot value, not
+    // a Hong–Kung source; kept when every predecessor word is covered by red.
+    std::uint64_t candidates = 0;
+    if (room && n > base) {
+      candidates = n - base >= 64 ? ~red
+                                  : ~red & ((std::uint64_t{1} << (n - base)) - 1);
+      if (spent_stay_spent) candidates &= ~p.computed[w];
+      if (sources_blue) candidates &= ~p.sources[w];
+    }
+    std::uint64_t computable = 0;
+    while (candidates != 0) {
+      const int b = std::countr_zero(candidates);
+      candidates &= candidates - 1;
+      const std::uint64_t* pred = preds(state, base + static_cast<std::size_t>(b));
+      std::uint64_t missing = 0;
+      for (std::size_t i = 0; i < p.words; ++i) missing |= pred[i] & ~p.red[i];
+      if (missing == 0) computable |= std::uint64_t{1} << b;
+    }
+    std::uint64_t any = loadable | red | computable | deletable;
+    while (any != 0) {
+      const int b = std::countr_zero(any);
+      any &= any - 1;
+      const std::uint64_t bit = std::uint64_t{1} << b;
+      const NodeId v = static_cast<NodeId>(base + static_cast<std::size_t>(b));
+      if ((loadable & bit) != 0) moves.push_back({MoveType::Load, v});
+      if ((red & bit) != 0) moves.push_back({MoveType::Store, v});
+      if ((computable & bit) != 0) moves.push_back({MoveType::Compute, v});
+      if ((deletable & bit) != 0) moves.push_back({MoveType::Delete, v});
+    }
+  }
+}
+
+template <class Masks>
+bool StateBoundEvaluator::is_complete(const Masks& state) const {
+  const Planes p = planes(state);
+  const bool blue_only = engine_->convention().sinks_end_blue;
+  for (std::size_t w = 0; w < p.words; ++w) {
+    const std::uint64_t done = blue_only ? p.blue[w] : p.red[w] | p.blue[w];
+    if ((p.sinks[w] & ~done) != 0) return false;
+  }
+  return true;
+}
+
+template void StateBoundEvaluator::legal_moves(const StateMasks&,
+                                               std::vector<Move>&) const;
+template void StateBoundEvaluator::legal_moves(const WideStateMasks&,
+                                               std::vector<Move>&) const;
+template void StateBoundEvaluator::legal_moves(const MaskVec&,
+                                               std::vector<Move>&) const;
+template bool StateBoundEvaluator::is_complete(const StateMasks&) const;
+template bool StateBoundEvaluator::is_complete(const WideStateMasks&) const;
+template bool StateBoundEvaluator::is_complete(const MaskVec&) const;
+
 std::optional<Rational> state_cost_lower_bound(const Engine& engine,
                                                const GameState& state) {
   StateBoundEvaluator evaluator(engine);

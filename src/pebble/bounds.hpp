@@ -382,6 +382,36 @@ class StateBoundEvaluator {
   /// tests/solvers/test_maskvec.cpp.
   std::optional<std::int64_t> lower_bound_scaled(const MaskVec& state);
 
+  // ---- mask-native successor generation ---------------------------------
+  //
+  // The searches hold expanded states as masks, so these two read the rules
+  // straight off the mask words, a whole word of nodes per operation. With
+  // room = popcount(red) < R:
+  //
+  //   loadable   = blue ∧ room
+  //   storable   = red
+  //   computable = (pred ⊆ red) ∧ ¬red ∧ room, minus spent oneshot nodes
+  //                and, under sources_start_blue, the sources
+  //   deletable  = pebbled, where the model allows deletion
+  //
+  // The Engine stays the rules' reference: the Dijkstra oracle and the
+  // Verifier call it, and tests/pebble/test_engine_fuzz.cpp checks
+  // both functions against it at every state of random walks in every
+  // model, convention and mask width. Each width requires the node count
+  // its lower_bound_scaled overload requires.
+
+  /// Every legal move of `state`, written to `moves` (cleared first) in the
+  /// Engine's probe order — node ascending, then Load, Store, Compute,
+  /// Delete — so queue tie-breaks, traces and expansion counts match a
+  /// search that probes the Engine move by move.
+  template <class Masks>
+  void legal_moves(const Masks& state, std::vector<Move>& moves) const;
+
+  /// Engine::is_complete on masks: every sink pebbled (blue, under the
+  /// sinks_end_blue convention).
+  template <class Masks>
+  bool is_complete(const Masks& state) const;
+
   /// Fold an additive pattern database into the mask paths: bounds become
   /// max(counting_bounds, pdb_sum). `pdb` must outlive the evaluator (or a
   /// detach via attach_pdb(nullptr)). Ignored by the >128-node generic
@@ -472,6 +502,38 @@ class StateBoundEvaluator {
 
  private:
   using WideMask = std::array<std::uint64_t, WideStateMasks::kWords>;
+
+  /// One configuration's mask words next to the structural caches of the
+  /// same width — the word-level view legal_moves / is_complete run on.
+  struct Planes {
+    std::size_t words;
+    const std::uint64_t* red;
+    const std::uint64_t* blue;
+    const std::uint64_t* computed;
+    const std::uint64_t* sinks;
+    const std::uint64_t* sources;
+  };
+  Planes planes(const StateMasks& s) const {
+    return {1, &s.red, &s.blue, &s.computed, &sinks_mask_, &sources_mask_};
+  }
+  Planes planes(const WideStateMasks& s) const {
+    return {WideStateMasks::kWords, s.red.data(),       s.blue.data(),
+            s.computed.data(),      sinks_mask2_.data(), sources_mask2_.data()};
+  }
+  Planes planes(const MaskVec& s) const {
+    return {maskv_words_,        s.red(), s.blue(), s.computed(),
+            sinks_maskv_.data(), sources_maskv_.data()};
+  }
+  /// Node v's predecessor words at the width of the first argument.
+  const std::uint64_t* preds(const StateMasks&, std::size_t v) const {
+    return &pred_mask_[v];
+  }
+  const std::uint64_t* preds(const WideStateMasks&, std::size_t v) const {
+    return pred_mask2_[v].data();
+  }
+  const std::uint64_t* preds(const MaskVec&, std::size_t v) const {
+    return &pred_maskv_[v * maskv_words_];
+  }
 
   /// The pattern-database floor for the current configuration, read through
   /// `field(v)` (the node's 3-bit color|computed field). nullopt = dead.

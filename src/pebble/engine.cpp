@@ -25,45 +25,73 @@ GameState Engine::initial_state() const {
   return state;
 }
 
-std::optional<std::string> Engine::why_illegal(const GameState& state,
-                                               const Move& move) const {
-  if (!dag_->contains(move.node)) return "node id out of range";
+Engine::Verdict Engine::check(const GameState& state, const Move& move) const {
+  if (!dag_->contains(move.node)) return {Rejection::NodeOutOfRange};
   const NodeId v = move.node;
   switch (move.type) {
     case MoveType::Load:
-      if (!state.is_blue(v)) return "load requires a blue pebble on the node";
-      if (state.red_count() >= red_limit_) return "red pebble budget exhausted";
-      return std::nullopt;
+      if (!state.is_blue(v)) return {Rejection::LoadNeedsBlue};
+      if (state.red_count() >= red_limit_) {
+        return {Rejection::RedBudgetExhausted};
+      }
+      return {};
 
     case MoveType::Store:
-      if (!state.is_red(v)) return "store requires a red pebble on the node";
-      return std::nullopt;
+      if (!state.is_red(v)) return {Rejection::StoreNeedsRed};
+      return {};
 
     case MoveType::Compute: {
       if (convention_.sources_start_blue && dag_->is_source(v)) {
-        return "sources are pre-loaded blue inputs and cannot be computed";
+        return {Rejection::SourceNotComputable};
       }
       if (!model_.allows_recompute() && state.was_computed(v)) {
-        return "oneshot: node was already computed once";
+        return {Rejection::AlreadyComputedOnce};
       }
-      if (state.is_red(v)) return "node already holds a red pebble";
+      if (state.is_red(v)) return {Rejection::AlreadyRed};
       for (NodeId u : dag_->predecessors(v)) {
-        if (!state.is_red(u)) {
-          std::ostringstream os;
-          os << "input node " << u << " does not hold a red pebble";
-          return os.str();
-        }
+        if (!state.is_red(u)) return {Rejection::InputNotRed, u};
       }
       // Computing a blue node replaces the blue pebble (red count +1);
       // computing an empty node adds a pebble. Either way one more red.
-      if (state.red_count() >= red_limit_) return "red pebble budget exhausted";
-      return std::nullopt;
+      if (state.red_count() >= red_limit_) {
+        return {Rejection::RedBudgetExhausted};
+      }
+      return {};
     }
 
     case MoveType::Delete:
-      if (!model_.allows_delete()) return "nodel: deletions are forbidden";
-      if (state.is_empty(v)) return "delete requires a pebble on the node";
-      return std::nullopt;
+      if (!model_.allows_delete()) return {Rejection::DeletionsForbidden};
+      if (state.is_empty(v)) return {Rejection::DeleteNeedsPebble};
+      return {};
+  }
+  return {Rejection::UnknownMoveType};
+}
+
+std::optional<std::string> Engine::why_illegal(const GameState& state,
+                                               const Move& move) const {
+  const Verdict verdict = check(state, move);
+  switch (verdict.code) {
+    case Rejection::None: return std::nullopt;
+    case Rejection::NodeOutOfRange: return "node id out of range";
+    case Rejection::LoadNeedsBlue:
+      return "load requires a blue pebble on the node";
+    case Rejection::RedBudgetExhausted: return "red pebble budget exhausted";
+    case Rejection::StoreNeedsRed:
+      return "store requires a red pebble on the node";
+    case Rejection::SourceNotComputable:
+      return "sources are pre-loaded blue inputs and cannot be computed";
+    case Rejection::AlreadyComputedOnce:
+      return "oneshot: node was already computed once";
+    case Rejection::AlreadyRed: return "node already holds a red pebble";
+    case Rejection::InputNotRed: {
+      std::ostringstream os;
+      os << "input node " << verdict.input << " does not hold a red pebble";
+      return os.str();
+    }
+    case Rejection::DeletionsForbidden: return "nodel: deletions are forbidden";
+    case Rejection::DeleteNeedsPebble:
+      return "delete requires a pebble on the node";
+    case Rejection::UnknownMoveType: break;
   }
   return "unknown move type";
 }

@@ -2,6 +2,7 @@
 // model variant, with exact cost accounting.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -58,14 +59,17 @@ class Engine {
   /// every source holds a blue pebble.
   GameState initial_state() const;
 
-  /// nullopt if `move` is legal in `state`; otherwise a human-readable
-  /// reason. Never mutates.
+  /// The legality verdict: string-free, allocation-free. This is what the
+  /// solvers and the Dijkstra oracle probe.
+  bool is_legal(const GameState& state, const Move& move) const {
+    return check(state, move).code == Rejection::None;
+  }
+
+  /// Diagnostics only (the Verifier, apply's exception, the CLI): nullopt if
+  /// `move` is legal in `state`; otherwise a human-readable reason formatted
+  /// from the same verdict is_legal tests. Never mutates.
   std::optional<std::string> why_illegal(const GameState& state,
                                          const Move& move) const;
-
-  bool is_legal(const GameState& state, const Move& move) const {
-    return !why_illegal(state, move).has_value();
-  }
 
   /// Apply a legal move, updating `state` and accumulating operation counts
   /// into `cost`. Throws PreconditionError if the move is illegal.
@@ -75,6 +79,30 @@ class Engine {
   bool is_complete(const GameState& state) const;
 
  private:
+  /// Which rule a move breaks; None when it is legal.
+  enum class Rejection : std::uint8_t {
+    None,
+    NodeOutOfRange,
+    LoadNeedsBlue,
+    RedBudgetExhausted,
+    StoreNeedsRed,
+    SourceNotComputable,
+    AlreadyComputedOnce,
+    AlreadyRed,
+    InputNotRed,
+    DeletionsForbidden,
+    DeleteNeedsPebble,
+    UnknownMoveType,
+  };
+  struct Verdict {
+    Rejection code = Rejection::None;
+    NodeId input = 0;  ///< the offending input node of an InputNotRed
+  };
+
+  /// The rules of the game, written once: is_legal tests the verdict,
+  /// why_illegal formats it.
+  Verdict check(const GameState& state, const Move& move) const;
+
   const Dag* dag_;
   Model model_;
   std::size_t red_limit_;

@@ -134,6 +134,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   };
   std::size_t& expanded = stats.states_expanded;
   ExactTermination why = ExactTermination::StateBudget;
+  std::vector<Move> moves;  // the expanded state's legal moves
 
   for (std::size_t pass = 0; pass < schedule.size(); ++pass) {
     if (C <= L) return finish(ExactTermination::Solved);
@@ -194,9 +195,8 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       }
       const std::int64_t g = item.g;
       const Packed current = Packed::from_key(item.key, n);
-      GameState state = current.to_state(n);
       const Masks masks = Masks::from(current, n);
-      if (engine.is_complete(state)) {
+      if (bound.is_complete(masks)) {
         // item.f < C and h ≥ 0 give g < C: a strictly better incumbent.
         // Unlike exact A*, keep popping — weighted order may surface an
         // even cheaper completion later in the same pass.
@@ -278,31 +278,26 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       }
       ++expanded;
 
-      for (std::size_t v = 0; v < n; ++v) {
-        const NodeId node = static_cast<NodeId>(v);
-        for (MoveType type : {MoveType::Load, MoveType::Store,
-                              MoveType::Compute, MoveType::Delete}) {
-          const Move move{type, node};
-          if (!engine.is_legal(state, move)) continue;
-          const Packed next = current.apply(move);
-          const std::int64_t next_g = g + scaled_move_cost(model, type);
-          const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-          if (relaxed == Table::Relax::OutOfMemory) {
-            harvest(table);
-            return finish(ExactTermination::MemoryBudget);
-          }
-          if (relaxed == Table::Relax::Stale) continue;
-          Masks next_masks = masks;
-          next_masks.apply(move);
-          std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-          if (!h) {
-            ++stats.dead_prunes;  // provably dead: prune
-            continue;
-          }
-          const std::int64_t next_f = next_g + *h;
-          if (next_f >= C) continue;        // unweighted prune — sound
-          queue.push(weighted(next_g, *h), {next.key(), next_g, next_f});
+      bound.legal_moves(masks, moves);
+      for (const Move& move : moves) {
+        const Packed next = current.apply(move);
+        const std::int64_t next_g = g + scaled_move_cost(model, move.type);
+        const auto relaxed = table.relax(next.key(), next_g, item.key, move);
+        if (relaxed == Table::Relax::OutOfMemory) {
+          harvest(table);
+          return finish(ExactTermination::MemoryBudget);
         }
+        if (relaxed == Table::Relax::Stale) continue;
+        Masks next_masks = masks;
+        next_masks.apply(move);
+        std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
+        if (!h) {
+          ++stats.dead_prunes;  // provably dead: prune
+          continue;
+        }
+        const std::int64_t next_f = next_g + *h;
+        if (next_f >= C) continue;        // unweighted prune — sound
+        queue.push(weighted(next_g, *h), {next.key(), next_g, next_f});
       }
     }
 

@@ -109,6 +109,13 @@ class SpillingClosedTable {
     }
   }
 
+  /// Bytes a table needs to grow once past its first slot slab: the first
+  /// slab plus the doubled one its entries are re-homed into. A budget
+  /// below it holds the table to the first slab's few hundred states.
+  static constexpr std::size_t first_growth_bytes() {
+    return 3 * kInitialSlots * sizeof(Slot);
+  }
+
   /// Bytes the search holds outside this table but inside the same memory
   /// budget — pattern-database tables and the open queue's bucket arrays.
   /// Counted against max_bytes alongside bytes(); refreshed by the searches

@@ -126,6 +126,7 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
   queue.push(*start_h, {start.key(), 0});
 
   std::size_t& expanded = stats.states_expanded;
+  std::vector<Move> moves;  // the expanded state's legal moves
   while (!queue.empty()) {
     auto [f, item] = queue.pop();
     // Expansion gate: stale-g check plus the delayed duplicate check
@@ -140,11 +141,10 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
     }
     const std::int64_t g = item.g;
     const Packed current = Packed::from_key(item.key, n);
-    // One O(n) unpack per expansion; neighbors below are derived in O(1) —
-    // packed keys and bound masks alike.
-    GameState state = current.to_state(n);
+    // One mask extraction per expansion; successors and their masks below
+    // are derived from it in O(1) each — packed keys and bound masks alike.
     const Masks masks = Masks::from(current, n);
-    if (engine.is_complete(state)) {
+    if (bound.is_complete(masks)) {
       // Settle unverified entries first: an evicted-then-regenerated
       // ancestor's RAM entry could otherwise splice a worse tree edge
       // into the optimal trace.
@@ -226,30 +226,25 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
     }
     ++expanded;
 
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                            MoveType::Delete}) {
-        const Move move{type, node};
-        if (!engine.is_legal(state, move)) continue;
-        const Packed next = current.apply(move);
-        const std::int64_t next_g = g + scaled_move_cost(model, type);
-        const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-        if (relaxed == Table::Relax::OutOfMemory) {
-          return give_up(ExactTermination::MemoryBudget);
-        }
-        if (relaxed == Table::Relax::Stale) continue;
-        Masks next_masks = masks;
-        next_masks.apply(move);
-        std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-        if (!h) {
-          ++stats.dead_prunes;  // provably dead: prune
-          continue;
-        }
-        const std::int64_t next_f = next_g + *h;
-        if (next_f >= incumbent) continue;  // no winner lives beyond it
-        queue.push(next_f, {next.key(), next_g});
+    bound.legal_moves(masks, moves);
+    for (const Move& move : moves) {
+      const Packed next = current.apply(move);
+      const std::int64_t next_g = g + scaled_move_cost(model, move.type);
+      const auto relaxed = table.relax(next.key(), next_g, item.key, move);
+      if (relaxed == Table::Relax::OutOfMemory) {
+        return give_up(ExactTermination::MemoryBudget);
       }
+      if (relaxed == Table::Relax::Stale) continue;
+      Masks next_masks = masks;
+      next_masks.apply(move);
+      std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
+      if (!h) {
+        ++stats.dead_prunes;  // provably dead: prune
+        continue;
+      }
+      const std::int64_t next_f = next_g + *h;
+      if (next_f >= incumbent) continue;  // no winner lives beyond it
+      queue.push(next_f, {next.key(), next_g});
     }
   }
   if (opt.seed) return seed_wins();

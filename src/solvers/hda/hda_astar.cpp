@@ -132,6 +132,7 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
   WorkerLedger ledger;
   std::vector<std::vector<StateMsg<Packed>>> out(workers);
   std::vector<StateMsg<Packed>> inbox;
+  std::vector<Move> moves;  // the expanded state's legal moves
   std::size_t local_expanded = 0;
   std::size_t idle_spins = 0;
   std::size_t local_dup = 0, local_dead = 0;
@@ -244,10 +245,10 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
     if (f >= ctx.incumbent.load(std::memory_order_relaxed)) continue;
     const std::int64_t g = item.g;
     const Packed current = Packed::from_key(item.key, n);
-    // One O(n) unpack per expansion; neighbors below are derived in O(1) —
-    // packed keys and bound masks alike.
-    GameState state = current.to_state(n);
-    if (engine.is_complete(state)) {
+    // One mask extraction per expansion; successors and their masks below
+    // are derived from it in O(1) each — packed keys and bound masks alike.
+    const Masks masks = Masks::from(current, n);
+    if (bound.is_complete(masks)) {
       const std::lock_guard<std::mutex> lock(ctx.goal_mutex);
       if (!ctx.has_goal || g < ctx.incumbent.load(std::memory_order_relaxed)) {
         ctx.has_goal = true;
@@ -311,7 +312,6 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
     }
     ++local_expanded;
 
-    const Masks masks = Masks::from(current, n);
     if (sampler != nullptr) {
       // Bound-source attribution: one extra (pure, deterministic) bound
       // evaluation per expansion, only when someone is watching, so
@@ -323,25 +323,20 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
         ++local_attr_counting;
       }
     }
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                            MoveType::Delete}) {
-        const Move move{type, node};
-        if (!engine.is_legal(state, move)) continue;
-        const Packed next = current.apply(move);
-        const std::int64_t next_g = g + scaled_move_cost(model, type);
-        Masks next_masks = masks;
-        next_masks.apply(move);
-        std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-        if (!h) {
-          ++local_dead;  // provably dead: prune
-          continue;
-        }
-        const std::int64_t next_f = next_g + *h;
-        if (next_f >= ctx.incumbent.load(std::memory_order_relaxed)) continue;
-        route({next.key(), item.key, next_g, next_f, move});
+    bound.legal_moves(masks, moves);
+    for (const Move& move : moves) {
+      const Packed next = current.apply(move);
+      const std::int64_t next_g = g + scaled_move_cost(model, move.type);
+      Masks next_masks = masks;
+      next_masks.apply(move);
+      std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
+      if (!h) {
+        ++local_dead;  // provably dead: prune
+        continue;
       }
+      const std::int64_t next_f = next_g + *h;
+      if (next_f >= ctx.incumbent.load(std::memory_order_relaxed)) continue;
+      route({next.key(), item.key, next_g, next_f, move});
     }
   }
   flush_introspection();
@@ -418,6 +413,19 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   // before the context so the shards' run files die first.
   std::optional<bigstate::SpillDirectory> spill_dir =
       make_spill_directory(opt);
+  // Each shard gets an even share of the memory budget. Without spilling,
+  // a share below one slot slab cannot hold even the start state, and one
+  // below a table's first growth stops the shard at its first slab —
+  // splitting such a budget only fragments it. Run fewer workers instead,
+  // so a tight budget bites the way it does in the serial search at any
+  // thread count. (A spilling shard admits its first slab regardless and
+  // sheds the rest to its partition.)
+  if (opt.max_memory_bytes != 0 && !spill_dir) {
+    workers = std::clamp<std::size_t>(
+        opt.max_memory_bytes /
+            SpillingClosedTable<Packed>::first_growth_bytes(),
+        1, workers);
+  }
   std::vector<std::string> spill_partitions;
   if (spill_dir) {
     spill_partitions.reserve(workers);

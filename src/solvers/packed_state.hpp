@@ -83,8 +83,9 @@ class BasicPackedState {
     return packed;
   }
 
-  /// Unpack into a full GameState (O(n); used once per expansion, never per
-  /// generated neighbor).
+  /// Unpack into a full GameState (O(n); the round-trip partner of
+  /// from_state — the searches read masks instead, see
+  /// StateBoundEvaluator::legal_moves).
   GameState to_state(std::size_t node_count) const {
     GameState state(node_count);
     for (std::size_t v = 0; v < node_count; ++v) {

@@ -34,6 +34,42 @@ TEST(BlackEngine, PlacementRules) {
   EXPECT_THROW(engine.apply(state, black_remove(0)), PreconditionError);
 }
 
+TEST(BlackEngine, VerdictAndReasonsAgree) {
+  // is_legal is the string-free verdict; why_illegal formats the same one.
+  Dag dag = chain(3);
+  BlackEngine engine(dag, 2);
+  BlackState state(dag.node_count());
+  engine.apply(state, black_place(0));
+  engine.apply(state, black_place(1));
+  const std::pair<BlackMove, const char*> rejected[] = {
+      {black_place(7), "node id out of range"},
+      {black_remove(2), "no pebble to remove"},
+      {black_place(1), "node already pebbled"},
+      {black_place(2), "pebble budget exhausted"},
+  };
+  for (const auto& [move, reason] : rejected) {
+    EXPECT_FALSE(engine.is_legal(state, move)) << to_string(move);
+    EXPECT_EQ(engine.why_illegal(state, move), reason) << to_string(move);
+  }
+  engine.apply(state, black_remove(0));
+  EXPECT_EQ(engine.why_illegal(state, black_place(1)), "node already pebbled");
+  engine.apply(state, black_remove(1));
+  EXPECT_FALSE(engine.is_legal(state, black_place(2)));
+  EXPECT_EQ(engine.why_illegal(state, black_place(2)),
+            "input node 1 is not pebbled");
+  EXPECT_TRUE(engine.is_legal(state, black_place(0)));
+  EXPECT_EQ(engine.why_illegal(state, black_place(0)), std::nullopt);
+  try {
+    engine.apply(state, black_remove(2));
+    ADD_FAILURE() << "illegal remove applied";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "illegal move remove(2): no pebble to remove"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(BlackVerify, AuditsPeakAndCompleteness) {
   Dag dag = chain(3);
   BlackEngine engine(dag, 2);

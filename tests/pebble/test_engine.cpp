@@ -184,6 +184,65 @@ TEST(EngineDelete, RequiresAnyPebble) {
   EXPECT_EQ(cost.deletes, 1);
 }
 
+// is_legal is the string-free verdict; why_illegal formats the same verdict
+// into the reasons the Verifier, apply and the CLI have always printed.
+TEST(EngineReasons, EveryRejectionKeepsItsMessage) {
+  DagBuilder b;  // 0 -> 1, plus an isolated node 2
+  b.add_nodes(3);
+  b.add_edge(0, 1);
+  Dag dag = b.build();
+  Cost cost;
+  auto expect_reason = [](const Engine& engine, const GameState& state,
+                          const Move& move, const std::string& reason) {
+    EXPECT_FALSE(engine.is_legal(state, move)) << to_string(move);
+    EXPECT_EQ(engine.why_illegal(state, move), reason) << to_string(move);
+  };
+
+  Engine base(dag, Model::base(), 2);
+  GameState state = base.initial_state();
+  expect_reason(base, state, load(5), "node id out of range");
+  expect_reason(base, state, load(0), "load requires a blue pebble on the node");
+  expect_reason(base, state, compute(1),
+                "input node 0 does not hold a red pebble");
+  expect_reason(base, state, erase(0), "delete requires a pebble on the node");
+  base.apply(state, compute(2), cost);
+  base.apply(state, store(2), cost);
+  expect_reason(base, state, store(2), "store requires a red pebble on the node");
+  base.apply(state, compute(0), cost);
+  expect_reason(base, state, compute(0), "node already holds a red pebble");
+  base.apply(state, compute(1), cost);  // two reds: the budget is full
+  expect_reason(base, state, load(2), "red pebble budget exhausted");
+  expect_reason(base, state, compute(2), "red pebble budget exhausted");
+  try {
+    base.apply(state, load(2), cost);
+    ADD_FAILURE() << "illegal load applied";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "illegal move load(2): red pebble budget exhausted"),
+              std::string::npos)
+        << e.what();
+  }
+
+  Engine oneshot(dag, Model::oneshot(), 2);
+  state = oneshot.initial_state();
+  oneshot.apply(state, compute(0), cost);
+  oneshot.apply(state, erase(0), cost);
+  expect_reason(oneshot, state, compute(0),
+                "oneshot: node was already computed once");
+
+  Engine nodel(dag, Model::nodel(), 2);
+  state = nodel.initial_state();
+  nodel.apply(state, compute(0), cost);
+  expect_reason(nodel, state, erase(0), "nodel: deletions are forbidden");
+
+  Engine hong_kung(dag, Model::base(), 2, {.sources_start_blue = true});
+  state = hong_kung.initial_state();
+  expect_reason(hong_kung, state, compute(0),
+                "sources are pre-loaded blue inputs and cannot be computed");
+  EXPECT_TRUE(hong_kung.is_legal(state, load(0)));
+  EXPECT_EQ(hong_kung.why_illegal(state, load(0)), std::nullopt);
+}
+
 TEST(EngineState, RedNodesAndCounters) {
   DagBuilder b;
   b.add_nodes(3);

@@ -390,13 +390,31 @@ TEST(MemoryBudget, ReportedThroughTheSolverApi) {
   request.engine = &engine;
   request.budget.max_memory_bytes = 100'000;
   request.options["spill"] = "off";
-  for (const char* name : {"exact-astar", "hda-astar"}) {
-    SolveResult result = SolverRegistry::instance().at(name).run(request);
+  // hda-astar splits the budget across its shards: at every explicit thread
+  // count it must still hold states and name the same limiting resource as
+  // the serial search, whatever the machine's core count.
+  struct Run {
+    const char* name;
+    std::size_t threads;
+  };
+  std::string serial_resource;
+  for (const Run& run : {Run{"exact-astar", 0}, Run{"hda-astar", 1},
+                         Run{"hda-astar", 2}, Run{"hda-astar", 4},
+                         Run{"hda-astar", 8}}) {
+    const std::string name =
+        std::string(run.name) + "@" + std::to_string(run.threads);
+    request.budget.threads = run.threads;
+    SolveResult result = SolverRegistry::instance().at(run.name).run(request);
     EXPECT_EQ(result.status, SolveStatus::BudgetExhausted) << name;
     EXPECT_NE(result.detail.find("memory budget"), std::string::npos) << name;
     EXPECT_NE(result.detail.find("spill=off"), std::string::npos) << name;
     ASSERT_TRUE(result.stats.contains("table_bytes")) << name;
     EXPECT_GT(std::stoull(result.stats.at("table_bytes")), 0u) << name;
+    ASSERT_TRUE(result.stats.contains("limiting_resource")) << name;
+    if (serial_resource.empty()) {
+      serial_resource = result.stats.at("limiting_resource");
+    }
+    EXPECT_EQ(result.stats.at("limiting_resource"), serial_resource) << name;
   }
 }
 
