@@ -278,16 +278,13 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       }
       ++expanded;
 
+      // Probe, then price, then insert, as in exact_astar.cpp.
       bound.legal_moves(masks, moves);
       for (const Move& move : moves) {
         const Packed next = current.apply(move);
         const std::int64_t next_g = g + scaled_move_cost(model, move.type);
-        const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-        if (relaxed == Table::Relax::OutOfMemory) {
-          harvest(table);
-          return finish(ExactTermination::MemoryBudget);
-        }
-        if (relaxed == Table::Relax::Stale) continue;
+        const auto probe = table.probe(next.key(), next_g);
+        if (probe.verdict == Table::Relax::Stale) continue;
         Masks next_masks = masks;
         next_masks.apply(move);
         std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
@@ -297,6 +294,11 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         }
         const std::int64_t next_f = next_g + *h;
         if (next_f >= C) continue;        // unweighted prune — sound
+        if (table.insert(probe, next.key(), next_g, item.key, move) ==
+            Table::Relax::OutOfMemory) {
+          harvest(table);
+          return finish(ExactTermination::MemoryBudget);
+        }
         queue.push(weighted(next_g, *h), {next.key(), next_g, next_f});
       }
     }

@@ -32,6 +32,27 @@
 // bit-for-bit (asserted by tests/solvers/test_spill.cpp), and the
 // optimality proof is untouched: no state is lost, only parked on disk.
 //
+// The table holds live states only. Every search loop offers a generated
+// state in the same order — probe, then price, then insert:
+//
+//  1. probe(key, g): a key already known at a g no worse is stale and is
+//     dropped before the bound is evaluated;
+//  2. the caller prices the state; a provably dead state, or one whose
+//     f = g + h reaches the incumbent, is dropped without taking a slot;
+//  3. insert(probe, ...) stores the rest, reusing the position the probe
+//     found unless growth or eviction re-homed the slots in between.
+//
+// A dead state is therefore priced again each time it is generated, and
+// ExactSearchStats::dead_prunes counts every such generation.
+//
+// Slot layout: the child key, its g, and one 64-bit word packing the tree
+// edge `via`, the parent's 3-bit field at via.node and the slot's flags
+// (occupied, verified, expanded) with its 16-bit deferred count. A move
+// rewrites exactly one node's field, so the parent key is not stored: it
+// is the child key with that field restored (Packed::key_with_field). A
+// slot is 24 bytes for 64-bit keys, 32 for 128-bit keys and 48 for
+// VarPackedState. Spill records keep the full parent key (spill.hpp).
+//
 // Single-owner like ClosedTable: the sequential search owns one, each
 // hda-astar shard owns one over its own spill partition.
 #pragma once
@@ -122,26 +143,66 @@ class SpillingClosedTable {
   /// at their poll checkpoints.
   void set_overhead_bytes(std::size_t bytes) { overhead_bytes_ = bytes; }
 
-  /// Offer one generated state. Inserted/Improved mean the caller should
-  /// evaluate and push it; Stale means a path at least as cheap is already
-  /// in RAM (the delayed check against disk happens at expansion time).
-  Relax relax(const Key& key, std::int64_t g, const Key& parent, Move via) {
-    if (Slot* slot = find_slot(key)) {
-      if (g >= slot->entry.g) return Relax::Stale;
+  /// Where a probed key stands. `verdict` is what insert() would report:
+  /// Stale (drop it), Inserted (absent) or Improved (known at a worse g).
+  /// Valid until the next call that changes the table.
+  struct Probe {
+    Relax verdict = Relax::Inserted;
+    std::size_t pos = 0;        ///< the key's slot, or the empty slot ending
+                                ///< its probe run
+    std::uint64_t epoch = 0;    ///< slot layout the position belongs to
+  };
+
+  /// Step 1 of probe → price → insert: one hash probe for `key` at path
+  /// cost g. Stale means a path at least as cheap is already in RAM (the
+  /// delayed check against disk happens at expansion time).
+  Probe probe(const Key& key, std::int64_t g) const {
+    if (slots_.empty()) return Probe{Relax::Inserted, 0, epoch_};
+    const std::size_t pos = locate(key);
+    if (!slots_[pos].occupied) return Probe{Relax::Inserted, pos, epoch_};
+    return Probe{g >= slots_[pos].g ? Relax::Stale : Relax::Improved, pos,
+                 epoch_};
+  }
+
+  /// Step 3: store a priced, live, non-stale state. Precondition: `p` is
+  /// this table's latest probe of `key` at `g`, not Stale, and `parent`
+  /// differs from `key` at most in node via.node's field — `parent` is a
+  /// real parent and `via` the move taking it to `key` (or, for the start
+  /// state, parent == key). Only that field of `parent` is kept; at()
+  /// derives the parent back from `key`.
+  Relax insert(Probe p, const Key& key, std::int64_t g, const Key& parent,
+               Move via) {
+    RBPEB_ENSURE(p.epoch == epoch_ && p.verdict != Relax::Stale,
+                 "SpillingClosedTable::insert: outdated or stale probe");
+    const unsigned parent_field = Packed::key_field(parent, via.node);
+    if (p.verdict == Relax::Improved) {
       // A strict improvement re-opens the state; verified status survives
       // (the RAM g only moved further below any spilled record's). Items
       // at the old g — deferred duplicates included — go stale with it.
-      slot->entry = Entry{g, parent, via};
-      slot->expanded = false;
-      slot->deferred = 0;
+      Slot& slot = slots_[p.pos];
+      slot.g = g;
+      set_edge(slot, via, parent_field);
+      slot.expanded = 0;
+      slot.deferred = 0;
       return Relax::Improved;
     }
     if (!ensure_capacity()) return Relax::OutOfMemory;
-    const std::size_t extra =
-        Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
-    if (!budget_insert(extra)) return Relax::OutOfMemory;
-    insert_fresh(key, Entry{g, parent, via});
+    if (!budget_insert(Packed::key_heap_bytes(key))) {
+      return Relax::OutOfMemory;
+    }
+    // Growth or eviction re-homed the slots: find the key's new empty slot.
+    if (p.epoch != epoch_) p.pos = locate(key);
+    place(p.pos, key, g, via, parent_field);
     return Relax::Inserted;
+  }
+
+  /// probe() then insert() without pricing in between — for states that are
+  /// already priced (the start state, hda-astar's routed messages). The
+  /// same precondition on (parent, via) as insert().
+  Relax relax(const Key& key, std::int64_t g, const Key& parent, Move via) {
+    const Probe p = probe(key, g);
+    if (p.verdict == Relax::Stale) return Relax::Stale;
+    return insert(p, key, g, parent, via);
   }
 
   /// Gate a popped open item (key, g): Expand exactly when the in-memory
@@ -154,12 +215,12 @@ class SpillingClosedTable {
         reconcile();
         slot = find_slot(key);  // reconcile never moves slots; be explicit
       }
-      if (slot->entry.g != g || slot->expanded) return Pop::Skip;
+      if (slot->g != g || slot->expanded) return Pop::Skip;
       if (slot->deferred > 0) {
         --slot->deferred;  // a duplicate item: the original expands later
         return Pop::Skip;
       }
-      slot->expanded = true;
+      slot->expanded = 1;
       return Pop::Expand;
     }
     // The key was evicted wholesale; its truth lives on disk.
@@ -177,26 +238,23 @@ class SpillingClosedTable {
     // original item, or with one deferred duplicate consumed if not — so
     // every sibling item at the same g resolves against RAM from here on.
     // (ensure_capacity/make_room may reuse the scratch; copy fields first.)
-    const Key parent = Packed::key_deserialize(
-        rec + layout_.parent_offset(), node_count_);
     const Move via = bigstate::spill_record_via(layout_, rec);
+    const unsigned parent_field = record_parent_field(rec, via);
     const std::uint16_t deferred =
         bigstate::spill_record_deferred(layout_, rec);
     if (!ensure_capacity()) return Pop::OutOfMemory;
-    const std::size_t extra =
-        Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
-    if (!budget_insert(extra)) return Pop::OutOfMemory;
-    Slot* slot = insert_fresh(key, Entry{g, parent, via});
-    slot->verified = true;
+    if (!budget_insert(Packed::key_heap_bytes(key))) return Pop::OutOfMemory;
+    Slot& slot = place(locate(key), key, g, via, parent_field);
+    slot.verified = 1;
     if (!pending_.empty() && pending_.back() == key) {
-      pending_.pop_back();  // insert_fresh queued it; it is already settled
+      pending_.pop_back();  // place() queued it; it is already settled
       pending_heap_bytes_ -= Packed::key_heap_bytes(key);
     }
     if (deferred > 0) {
-      slot->deferred = deferred - 1;
+      slot.deferred = deferred - 1u;
       return Pop::Skip;
     }
-    slot->expanded = true;
+    slot.expanded = 1;
     return Pop::Expand;
   }
 
@@ -208,13 +266,14 @@ class SpillingClosedTable {
 
   /// Best known path record for `key`, wherever it lives — RAM or a spill
   /// run. Callers must settle() first (reconstruction walks only settled
-  /// keys), so the key must exist and RAM entries are best-known.
+  /// keys), so the key must exist and RAM entries are best-known. A RAM
+  /// entry's parent is derived: `key` with the stored field restored.
   Entry at(const Key& key) const {
     if (const Slot* slot = find_slot(key)) {
       RBPEB_ENSURE(slot->verified,
                    "SpillingClosedTable::at: unsettled entry — call "
                    "settle() before reconstruction");
-      return slot->entry;
+      return Entry{slot->g, derived_parent(*slot), via_of(*slot)};
     }
     RBPEB_ENSURE(runs_ && !runs_->empty(),
                  "SpillingClosedTable::at: key not present");
@@ -263,17 +322,46 @@ class SpillingClosedTable {
  private:
   struct Slot {
     Key key{};
-    Entry entry{};
-    bool occupied = false;
-    bool verified = true;   ///< RAM g ≤ every spilled g for this key
-    bool expanded = false;  ///< the state was expanded at exactly entry.g
-    /// Duplicate open-queue items at entry.g that must pop (and be
-    /// consumed) before the state's earliest-pushed item expands it —
-    /// what keeps spilled expansion ORDER identical to in-memory: dups are
-    /// pushed later, so LIFO buckets pop them first, and the real
-    /// expansion still happens at the original item's queue position.
-    std::uint16_t deferred = 0;
+    std::int64_t g = 0;
+    std::uint64_t via_node : 32 = 0;
+    std::uint64_t via_type : 2 = 0;
+    std::uint64_t parent_field : 3 = 0;  ///< the parent's field at via_node
+    std::uint64_t occupied : 1 = 0;
+    std::uint64_t verified : 1 = 1;  ///< RAM g ≤ every spilled g for this key
+    std::uint64_t expanded : 1 = 0;  ///< the state was expanded at exactly g
+    /// Duplicate open-queue items at g that must pop (and be consumed)
+    /// before the state's earliest-pushed item expands it — what keeps
+    /// spilled expansion ORDER identical to in-memory: dups are pushed
+    /// later, so LIFO buckets pop them first, and the real expansion still
+    /// happens at the original item's queue position.
+    std::uint64_t deferred : 16 = 0;
   };
+  static_assert(sizeof(Slot) == sizeof(Key) + 2 * sizeof(std::uint64_t),
+                "a slot is its key, g and one packed edge/flags word");
+
+  static Move via_of(const Slot& slot) {
+    return Move{static_cast<MoveType>(slot.via_type),
+                static_cast<NodeId>(slot.via_node)};
+  }
+
+  static void set_edge(Slot& slot, Move via, unsigned parent_field) {
+    slot.via_node = via.node;
+    slot.via_type = static_cast<unsigned>(via.type);
+    slot.parent_field = parent_field;
+  }
+
+  static Key derived_parent(const Slot& slot) {
+    return Packed::key_with_field(slot.key, static_cast<NodeId>(slot.via_node),
+                                  static_cast<unsigned>(slot.parent_field));
+  }
+
+  /// The parent's field at via.node, read from a spill record's full
+  /// parent key.
+  unsigned record_parent_field(const std::uint8_t* rec, Move via) const {
+    return Packed::key_field(
+        Packed::key_deserialize(rec + layout_.parent_offset(), node_count_),
+        via.node);
+  }
 
   static constexpr std::size_t kInitialSlots = 1024;
   /// A spilling table never evicts below this population: budgets smaller
@@ -297,14 +385,18 @@ class SpillingClosedTable {
     return true;
   }
 
+  /// Linear probe for `key` in a non-empty slot array: the key's slot, or
+  /// the empty slot ending its probe run — where a fresh insert goes.
+  std::size_t locate(const Key& key) const {
+    std::size_t i = Packed::hash_key(key) & mask_;
+    while (slots_[i].occupied && !(slots_[i].key == key)) i = (i + 1) & mask_;
+    return i;
+  }
+
   Slot* find_slot(const Key& key) {
     if (slots_.empty()) return nullptr;
-    std::size_t i = Packed::hash_key(key) & mask_;
-    while (slots_[i].occupied) {
-      if (slots_[i].key == key) return &slots_[i];
-      i = (i + 1) & mask_;
-    }
-    return nullptr;
+    Slot& slot = slots_[locate(key)];
+    return slot.occupied ? &slot : nullptr;
   }
 
   const Slot* find_slot(const Key& key) const {
@@ -351,36 +443,48 @@ class SpillingClosedTable {
       // to make progress; below it the budget is best-effort.
       if (!(spilling() && slots_.empty())) return false;
     }
+    rehome(new_cap);
+    return true;
+  }
+
+  /// Rebuild the slot array at `capacity` slots, re-inserting every
+  /// occupied slot. Positions handed out by earlier probes are void after.
+  void rehome(std::size_t capacity) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_cap, Slot{});
-    mask_ = new_cap - 1;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    ++epoch_;
+    heap_bytes_ = 0;
+    size_ = 0;
     for (Slot& slot : old) {
       if (!slot.occupied) continue;
       std::size_t i = Packed::hash_key(slot.key) & mask_;
       while (slots_[i].occupied) i = (i + 1) & mask_;
+      heap_bytes_ += Packed::key_heap_bytes(slot.key);
       slots_[i] = std::move(slot);
+      ++size_;
     }
-    return true;
   }
 
-  Slot* insert_fresh(const Key& key, Entry entry) {
-    std::size_t i = Packed::hash_key(key) & mask_;
-    while (slots_[i].occupied) i = (i + 1) & mask_;
-    Slot& slot = slots_[i];
+  /// Store a fresh key at `pos`, the empty slot locate() found for it.
+  Slot& place(std::size_t pos, const Key& key, std::int64_t g, Move via,
+              unsigned parent_field) {
+    Slot& slot = slots_[pos];
     slot.key = key;
-    slot.entry = std::move(entry);
-    slot.occupied = true;
-    slot.expanded = false;
+    slot.g = g;
+    set_edge(slot, via, parent_field);
+    slot.occupied = 1;
+    slot.expanded = 0;
     slot.deferred = 0;
     slot.verified = !runs_ || runs_->empty();
-    heap_bytes_ +=
-        Packed::key_heap_bytes(slot.key) + Packed::key_heap_bytes(slot.entry.parent);
+    heap_bytes_ += Packed::key_heap_bytes(slot.key);
     ++size_;
+    ++epoch_;  // the empty slot other probes may have found is taken
     if (!slot.verified) {
       pending_.push_back(slot.key);
       pending_heap_bytes_ += Packed::key_heap_bytes(slot.key);
     }
-    return &slot;
+    return slot;
   }
 
   /// The batched DDD pass: merge-join every unverified key against the
@@ -413,7 +517,7 @@ class SpillingClosedTable {
             Slot* slot = find_slot(pending_[order[i]]);
             RBPEB_ENSURE(slot != nullptr, "reconcile: pending key vanished");
             const std::int64_t disk_g = bigstate::spill_record_g(layout_, rec);
-            const std::int64_t ram_g = slot->entry.g;
+            const std::int64_t ram_g = slot->g;
             if (disk_g > ram_g) return;  // stale disk history
             // The disk path was there first: adopt it (ties keep the first
             // inserter's tree edge, as the in-memory table would). If the
@@ -433,22 +537,17 @@ class SpillingClosedTable {
               // correctness: each (key, g) still expands at most once.
               ++deferred;
             }
-            const std::size_t old_heap =
-                Packed::key_heap_bytes(slot->entry.parent);
-            slot->entry.g = disk_g;
-            slot->entry.parent = Packed::key_deserialize(
-                rec + layout_.parent_offset(), node_count_);
-            slot->entry.via = bigstate::spill_record_via(layout_, rec);
+            const Move via = bigstate::spill_record_via(layout_, rec);
+            slot->g = disk_g;
+            set_edge(*slot, via, record_parent_field(rec, via));
             slot->expanded = disk_expanded;
             slot->deferred = deferred;
-            heap_bytes_ += Packed::key_heap_bytes(slot->entry.parent);
-            heap_bytes_ -= old_heap;
           });
     }
     for (const Key& key : pending_) {
       Slot* slot = find_slot(key);
       RBPEB_ENSURE(slot != nullptr, "reconcile: pending key vanished");
-      slot->verified = true;
+      slot->verified = 1;
     }
     pending_.clear();
     pending_heap_bytes_ = 0;
@@ -471,7 +570,7 @@ class SpillingClosedTable {
     // are the levels the frontier has left behind — the cold end.
     std::nth_element(occupied.begin(), occupied.begin() + (evict_count - 1),
                      occupied.end(), [&](std::uint32_t a, std::uint32_t b) {
-                       return slots_[a].entry.g < slots_[b].entry.g;
+                       return slots_[a].g < slots_[b].g;
                      });
     const std::size_t rb = layout_.record_bytes();
     std::vector<std::uint8_t> records(evict_count * rb);
@@ -479,9 +578,11 @@ class SpillingClosedTable {
       const Slot& slot = slots_[occupied[v]];
       std::uint8_t* rec = records.data() + v * rb;
       Packed::key_serialize(slot.key, rec);
-      Packed::key_serialize(slot.entry.parent, rec + layout_.parent_offset());
-      bigstate::spill_record_store(layout_, rec, slot.entry.g, slot.entry.via,
-                                   slot.expanded, slot.deferred);
+      Packed::key_serialize(derived_parent(slot),
+                            rec + layout_.parent_offset());
+      bigstate::spill_record_store(layout_, rec, slot.g, via_of(slot),
+                                   slot.expanded != 0,
+                                   static_cast<std::uint16_t>(slot.deferred));
     }
     bigstate::sort_spill_records(layout_, records.data(), evict_count);
     if (!runs_->append_run(records.data(), evict_count)) return false;
@@ -493,21 +594,9 @@ class SpillingClosedTable {
     // Rebuild the slot array without the victims (same capacity: the point
     // was shedding entries and their heap keys, not shrinking the slab).
     for (std::size_t v = 0; v < evict_count; ++v) {
-      slots_[occupied[v]].occupied = false;
+      slots_[occupied[v]].occupied = 0;
     }
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size(), Slot{});
-    heap_bytes_ = 0;
-    size_ = 0;
-    for (Slot& slot : old) {
-      if (!slot.occupied) continue;
-      std::size_t i = Packed::hash_key(slot.key) & mask_;
-      while (slots_[i].occupied) i = (i + 1) & mask_;
-      heap_bytes_ += Packed::key_heap_bytes(slot.key) +
-                     Packed::key_heap_bytes(slot.entry.parent);
-      slots_[i] = std::move(slot);
-      ++size_;
-    }
+    rehome(slots_.size());
     return true;
   }
 
@@ -520,6 +609,7 @@ class SpillingClosedTable {
   std::optional<bigstate::SpillRunSet> runs_;
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  std::uint64_t epoch_ = 0;  ///< bumped whenever slot positions change
   std::size_t size_ = 0;
   std::size_t heap_bytes_ = 0;
   /// Scratch buffers for single-record disk lookups (begin_expansion, at):

@@ -203,6 +203,17 @@ class VarPackedState {
     return key;
   }
 
+  /// Node v's 3-bit field of `key` — see BasicPackedState::key_field.
+  static unsigned key_field(const Key& key, NodeId v) { return key.field(v); }
+
+  /// `key` with node v's field replaced by `f` (f < 8); the cached hash is
+  /// patched, not recomputed.
+  static Key key_with_field(const Key& key, NodeId v, unsigned f) {
+    Key out = key;
+    out.set_field(v, f);
+    return out;
+  }
+
   // ---- introspection (tests, diagnostics) --------------------------------
 
   std::size_t word_count() const { return word_count_; }

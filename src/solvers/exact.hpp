@@ -88,9 +88,12 @@ struct ExactSearchStats {
   std::size_t attr_counting = 0;  ///< expansions whose bound was the
                                   ///< counting bounds
   std::size_t attr_pdb = 0;       ///< … whose bound was the PDB sum
-  /// Pops skipped as stale/already-expanded (always counted; free) and
-  /// generated states the bound proved dead.
+  /// Pops skipped as stale/already-expanded (always counted; free).
   std::size_t dup_skipped = 0;
+  /// Generations of states the bound proved dead, counted once per
+  /// generation: dead states never enter the closed table, so one
+  /// regenerated later is priced — and counted — again. All three A*
+  /// loops count alike, so exact-astar and hda-astar@1 agree.
   std::size_t dead_prunes = 0;
 };
 

@@ -226,15 +226,14 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
     }
     ++expanded;
 
+    // Probe, then price, then insert (bigstate/ddd.hpp): a stale successor
+    // costs no bound evaluation, a dead or over-incumbent one no slot.
     bound.legal_moves(masks, moves);
     for (const Move& move : moves) {
       const Packed next = current.apply(move);
       const std::int64_t next_g = g + scaled_move_cost(model, move.type);
-      const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-      if (relaxed == Table::Relax::OutOfMemory) {
-        return give_up(ExactTermination::MemoryBudget);
-      }
-      if (relaxed == Table::Relax::Stale) continue;
+      const auto probe = table.probe(next.key(), next_g);
+      if (probe.verdict == Table::Relax::Stale) continue;
       Masks next_masks = masks;
       next_masks.apply(move);
       std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
@@ -244,6 +243,10 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
       }
       const std::int64_t next_f = next_g + *h;
       if (next_f >= incumbent) continue;  // no winner lives beyond it
+      if (table.insert(probe, next.key(), next_g, item.key, move) ==
+          Table::Relax::OutOfMemory) {
+        return give_up(ExactTermination::MemoryBudget);
+      }
       queue.push(next_f, {next.key(), next_g});
     }
   }

@@ -73,6 +73,18 @@ class BasicPackedState {
     return key;
   }
 
+  /// Node v's 3-bit field of `key`. A move rewrites exactly that field, so
+  /// the closed table (bigstate/ddd.hpp) keeps a parent as its child's key
+  /// plus the parent's field at the move's node, restored by key_with_field.
+  static unsigned key_field(const Key& key, NodeId v) {
+    return static_cast<unsigned>((key >> shift(v)) & Word{7});
+  }
+
+  /// `key` with node v's field replaced by `f` (f < 8).
+  static Key key_with_field(const Key& key, NodeId v, unsigned f) {
+    return (key & ~(Word{7} << shift(v))) | (Word{f} << shift(v));
+  }
+
   static BasicPackedState from_state(const GameState& state) {
     BasicPackedState packed;
     for (std::size_t v = 0; v < state.node_count(); ++v) {

@@ -284,83 +284,204 @@ SpillingClosedTable<Packed> ram_only_table(std::size_t node_count,
   return SpillingClosedTable<Packed>(node_count, max_bytes, "", 0);
 }
 
+// Real tree edges for the fixed-width tests: `both` (nodes 0 and 1 red and
+// computed) is reached from `only0` by compute(1) and from `only1` by
+// compute(0). The table keeps a parent as one field of the child's key, so
+// every (parent, via) it is offered must be such a pair.
+const PackedState64 kOnly0 = PackedState64().apply(compute(0));
+const PackedState64 kOnly1 = PackedState64().apply(compute(1));
+const PackedState64 kBoth = kOnly0.apply(compute(1));
+
 TEST(ClosedTable, RelaxAndLookupSemantics) {
+  ASSERT_EQ(kOnly1.apply(compute(0)), kBoth);
   Table64 table = ram_only_table<PackedState64>(21, 0);
-  EXPECT_EQ(table.relax(7, 10, 3, Move{MoveType::Load, 1}),
+  EXPECT_EQ(table.relax(kBoth.key(), 10, kOnly0.key(), compute(1)),
             Table64::Relax::Inserted);
-  // A path no cheaper than the known one dies; a cheaper one re-opens.
-  EXPECT_EQ(table.relax(7, 99, 4, Move{MoveType::Store, 2}),
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly0.key());
+  EXPECT_EQ(table.at(kBoth.key()).via, compute(1));
+  // A path no cheaper than the known one dies; a cheaper one re-opens and
+  // takes over the tree edge.
+  EXPECT_EQ(table.relax(kBoth.key(), 99, kOnly1.key(), compute(0)),
             Table64::Relax::Stale);
-  EXPECT_EQ(table.at(7).g, 10);
-  EXPECT_EQ(table.relax(7, 5, 4, Move{MoveType::Store, 2}),
+  EXPECT_EQ(table.at(kBoth.key()).g, 10);
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly0.key());
+  EXPECT_EQ(table.relax(kBoth.key(), 5, kOnly1.key(), compute(0)),
             Table64::Relax::Improved);
-  EXPECT_EQ(table.at(7).g, 5);
+  EXPECT_EQ(table.at(kBoth.key()).g, 5);
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly1.key());
+  EXPECT_EQ(table.at(kBoth.key()).via, compute(0));
   EXPECT_EQ(table.size(), 1u);
-  // Growth keeps every entry reachable.
+  // Growth keeps every entry and its tree edge reachable. Each child has
+  // node 0 empty and comes from a parent holding a red pebble there.
   for (std::uint64_t k = 100; k < 3000; ++k) {
-    table.relax(k, static_cast<std::int64_t>(k), 0, Move{MoveType::Load, 0});
+    table.relax(k << 3, static_cast<std::int64_t>(k), (k << 3) | 1, erase(0));
   }
   EXPECT_EQ(table.size(), 2901u);
-  EXPECT_EQ(table.at(7).g, 5);
-  EXPECT_EQ(table.at(2999).g, 2999);
+  EXPECT_EQ(table.at(kBoth.key()).g, 5);
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly1.key());
+  EXPECT_EQ(table.at(2999 << 3).g, 2999);
+  EXPECT_EQ(table.at(2999 << 3).parent, (2999u << 3) | 1);
+  EXPECT_EQ(table.at(2999 << 3).via, erase(0));
   EXPECT_GT(table.bytes(), 2901 * sizeof(std::uint64_t));
+}
+
+TEST(ClosedTable, ProbeThenInsertMatchesRelax) {
+  Table64 table = ram_only_table<PackedState64>(21, 0);
+  auto probe = table.probe(kBoth.key(), 10);
+  EXPECT_EQ(probe.verdict, Table64::Relax::Inserted);
+  EXPECT_EQ(table.insert(probe, kBoth.key(), 10, kOnly0.key(), compute(1)),
+            Table64::Relax::Inserted);
+  EXPECT_EQ(table.probe(kBoth.key(), 10).verdict, Table64::Relax::Stale);
+  probe = table.probe(kBoth.key(), 4);
+  EXPECT_EQ(probe.verdict, Table64::Relax::Improved);
+  EXPECT_EQ(table.insert(probe, kBoth.key(), 4, kOnly1.key(), compute(0)),
+            Table64::Relax::Improved);
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly1.key());
+  // A probe outlives no change to the table: inserting another key voids
+  // the empty slot it may have found.
+  probe = table.probe(kOnly0.key(), 2);
+  table.relax(kOnly1.key(), 2, PackedState64().key(), compute(1));
+  EXPECT_THROW(table.insert(probe, kOnly0.key(), 2, PackedState64().key(),
+                            compute(0)),
+               InvariantError);
 }
 
 TEST(ClosedTable, ExpansionGateFiresOncePerKeyAndG) {
   Table64 table = ram_only_table<PackedState64>(21, 0);
-  table.relax(7, 10, 3, Move{MoveType::Load, 1});
-  EXPECT_EQ(table.begin_expansion(7, 12), Table64::Pop::Skip);  // stale g
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Expand);
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Skip);  // once only
+  table.relax(kBoth.key(), 10, kOnly0.key(), compute(1));
+  EXPECT_EQ(table.begin_expansion(kBoth.key(), 12), Table64::Pop::Skip);
+  EXPECT_EQ(table.begin_expansion(kBoth.key(), 10), Table64::Pop::Expand);
+  EXPECT_EQ(table.begin_expansion(kBoth.key(), 10), Table64::Pop::Skip);
   // A strict improvement re-opens the state at its new g.
-  EXPECT_EQ(table.relax(7, 4, 3, Move{MoveType::Load, 1}),
+  EXPECT_EQ(table.relax(kBoth.key(), 4, kOnly0.key(), compute(1)),
             Table64::Relax::Improved);
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Skip);
-  EXPECT_EQ(table.begin_expansion(7, 4), Table64::Pop::Expand);
+  EXPECT_EQ(table.begin_expansion(kBoth.key(), 10), Table64::Pop::Skip);
+  EXPECT_EQ(table.begin_expansion(kBoth.key(), 4), Table64::Pop::Expand);
+  EXPECT_EQ(table.at(kBoth.key()).parent, kOnly0.key());
+}
+
+TEST(ClosedTable, SlotIsTheKeyPlusSixteenBytes) {
+  // A slot holds the key, g and one word packing the tree edge, the
+  // parent's field and the flags; a table's first growth spans three
+  // 1024-slot slabs (the first and the doubled one).
+  EXPECT_EQ(Table64::first_growth_bytes(), 3u * 1024 * 24);
+  EXPECT_EQ(SpillingClosedTable<PackedState128>::first_growth_bytes(),
+            3u * 1024 * 32);
+  EXPECT_EQ(TableVar::first_growth_bytes(), 3u * 1024 * 48);
 }
 
 TEST(ClosedTable, RefusesInsertsBeyondTheByteBudgetWhenSpillIsOff) {
+  const PackedState64 start;
   Table64 tiny = ram_only_table<PackedState64>(21, 64);  // below the slab
-  EXPECT_EQ(tiny.relax(1, 0, 0, Move{MoveType::Load, 0}),
+  EXPECT_EQ(tiny.relax(start.key(), 0, start.key(), load(0)),
             Table64::Relax::OutOfMemory);
   EXPECT_EQ(tiny.size(), 0u);
 
-  // Holds the slab, not a grow.
-  Table64 small = ram_only_table<PackedState64>(21, 100'000);
-  std::size_t inserted = 0;
-  for (std::uint64_t k = 0; k < 10'000; ++k) {
-    if (small.relax(k, 0, 0, Move{MoveType::Load, 0}) ==
-        Table64::Relax::OutOfMemory) {
-      break;
+  // The load factor stays below 3/4, so a table holds 3/4 of its slots
+  // minus one. One byte short of the first growth holds the first slab;
+  // exactly the first growth allows one doubling.
+  constexpr std::size_t kSlab = 1024;
+  for (const auto& [budget, capacity] :
+       {std::pair{Table64::first_growth_bytes() - 1, kSlab},
+        std::pair{Table64::first_growth_bytes(), 2 * kSlab}}) {
+    Table64 small = ram_only_table<PackedState64>(21, budget);
+    std::size_t inserted = 0;
+    for (std::uint64_t k = 0; k < 10'000; ++k) {
+      if (small.relax(k << 3, 0, (k << 3) | 1, erase(0)) ==
+          Table64::Relax::OutOfMemory) {
+        break;
+      }
+      ++inserted;
     }
-    ++inserted;
+    EXPECT_EQ(inserted, capacity * 3 / 4 - 1) << budget;
+    EXPECT_LE(small.bytes(), budget);
+    // Everything inserted before the refusal is still there.
+    EXPECT_EQ(small.size(), inserted);
+    EXPECT_EQ(small.at(0).g, 0);
+    EXPECT_EQ(small.at(0).parent, 1u);
   }
-  EXPECT_GT(inserted, 0u);
-  EXPECT_LT(inserted, 10'000u);
-  EXPECT_LE(small.bytes(), 100'000u);
-  // Everything inserted before the refusal is still there.
-  EXPECT_EQ(small.size(), inserted);
-  EXPECT_EQ(small.at(0).g, 0);
 }
 
 TEST(ClosedTable, AccountsHeapSpillOfVariableWidthKeys) {
   // Two tables, same slot layout: one stores an inline key, one a spilled
-  // key; the byte difference must be exactly the key's (and its parent
-  // copy's) heap words.
+  // key; the byte difference must be exactly the key's heap words — the
+  // parent is derived from the key, never stored.
   TableVar inline_table = ram_only_table<VarPackedState>(40, 0);
   VarPackedState inline_key(40);  // 2 words: fits the inline buffer
   ASSERT_EQ(VarPackedState::key_heap_bytes(inline_key), 0u);
-  inline_table.relax(inline_key, 0, inline_key, Move{MoveType::Load, 0});
+  inline_table.relax(inline_key, 0, inline_key, load(0));
 
   TableVar spill_table = ram_only_table<VarPackedState>(60, 0);
-  VarPackedState key(60);  // 3 words: spills
-  key.set_color(50, PebbleColor::Red);
-  ASSERT_EQ(spill_table.relax(key, 1, key, Move{MoveType::Load, 0}),
+  VarPackedState parent(60);  // 3 words: spills
+  parent.set_color(50, PebbleColor::Blue);
+  const VarPackedState key = parent.apply(load(50));
+  ASSERT_EQ(spill_table.relax(key, 1, parent, load(50)),
             TableVar::Relax::Inserted);
   EXPECT_GT(VarPackedState::key_heap_bytes(key), 0u);
   EXPECT_EQ(spill_table.bytes(),
-            inline_table.bytes() + 2 * VarPackedState::key_heap_bytes(key));
+            inline_table.bytes() + VarPackedState::key_heap_bytes(key));
   EXPECT_EQ(spill_table.at(key).g, 1);
+  EXPECT_EQ(spill_table.at(key).parent, parent);
+  EXPECT_EQ(spill_table.at(key).via, load(50));
+}
+
+// Every (move type, prior field) pair at every probed node: the parent the
+// table derives is exactly the one it was offered. Fields straddling a
+// word boundary and heap-spilled keys included.
+template <typename Packed>
+void expect_parent_round_trips(std::size_t n,
+                               std::initializer_list<NodeId> nodes) {
+  // A background with every other node's field set, so a derivation that
+  // touched a neighbouring field would show.
+  GameState background(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId node = static_cast<NodeId>(v);
+    background.set_color(node, static_cast<PebbleColor>(v % 3));
+    if (v % 2 == 1) background.mark_computed(node);
+  }
+  const auto base = Packed::from_state(background).key();
+  using Table = SpillingClosedTable<Packed>;
+  {
+    Table table(n, 0, "", 0);
+    ASSERT_EQ(table.relax(base, 0, base, load(0)), Table::Relax::Inserted);
+    EXPECT_EQ(table.at(base).parent, base);
+    EXPECT_EQ(table.at(base).via, load(0));
+  }
+  for (NodeId v : nodes) {
+    for (unsigned prior = 0; prior < 8; ++prior) {
+      const auto parent = Packed::key_with_field(base, v, prior);
+      ASSERT_EQ(Packed::key_field(parent, v), prior);
+      for (std::size_t u = 0; u < n; ++u) {
+        if (u == v) continue;
+        const NodeId other = static_cast<NodeId>(u);
+        ASSERT_EQ(Packed::key_field(parent, other),
+                  Packed::key_field(base, other))
+            << "node " << v << " prior " << prior << " touched node " << u;
+      }
+      for (MoveType type : {MoveType::Load, MoveType::Store,
+                            MoveType::Compute, MoveType::Delete}) {
+        const Move via{type, v};
+        const auto child =
+            Packed::from_key(parent, n).apply(via).key();
+        Table table(n, 0, "", 0);
+        ASSERT_EQ(table.relax(child, 3, parent, via), Table::Relax::Inserted);
+        const auto entry = table.at(child);
+        EXPECT_EQ(entry.g, 3);
+        EXPECT_TRUE(entry.parent == parent)
+            << "node " << v << " prior " << prior << " " << to_string(via);
+        EXPECT_EQ(entry.via, via);
+      }
+    }
+  }
+}
+
+TEST(ClosedTable, DerivedParentRoundTripsOnEveryKeyWidth) {
+  expect_parent_round_trips<PackedState64>(21, {0, 7, 20});
+  // Node 21's field spans bits 63..65: across the 64-bit halves.
+  expect_parent_round_trips<PackedState128>(42, {0, 20, 21, 41});
+  expect_parent_round_trips<VarPackedState>(42, {0, 21, 41});
+  // Past 42 nodes the key spills to the heap; node 42 spans words 1/2.
+  expect_parent_round_trips<VarPackedState>(60, {0, 21, 42, 59});
 }
 
 TEST(MemoryBudget, SearchEndsGracefullyWithPartialStatsWhenSpillIsOff) {
@@ -368,7 +489,7 @@ TEST(MemoryBudget, SearchEndsGracefullyWithPartialStatsWhenSpillIsOff) {
                                      .seed = 6});
   Engine engine(dag, Model::oneshot(), min_red_pebbles(dag));
   ExactSearchOptions options;
-  options.max_memory_bytes = 100'000;  // a grow past the first slab trips it
+  options.max_memory_bytes = 100'000;  // the second doubling trips it
   options.spill = SpillMode::Off;      // spill would turn this into a solve
   ExactSearchStats stats;
   EXPECT_EQ(try_solve_exact_astar(engine, options, &stats), std::nullopt);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/dag_builder.hpp"
+#include "src/instances/spec.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/api.hpp"
@@ -99,6 +100,30 @@ TEST(HdaMatchesSequential, RepeatedRunsAreDeterministicInCost) {
   const ExactResult reference = solve_hda_astar(engine, 1);
   for (int run = 0; run < 3; ++run) {
     EXPECT_EQ(solve_hda_astar(engine, 8).cost, reference.cost) << run;
+  }
+}
+
+TEST(HdaMatchesSequential, OneWorkerSharesTheSerialSuccessorOrder) {
+  // exact-astar probes, prices, then inserts; hda-astar prices, then
+  // inserts. Either way a closed table holds only live states under the
+  // incumbent, and every dead generation counts as one dead prune. At one
+  // worker the two searches must therefore agree on the expansions, the
+  // dead prunes and the table's bytes — a loop that went back to inserting
+  // before pricing would grow its table and drop dead prunes.
+  for (const char* spec : {"pyramid:base=5", "tree:leaves=8"}) {
+    const Dag dag = instances::resolve_instance(spec).dag;
+    Engine engine(dag, Model::oneshot(), 3);
+    ExactSearchStats serial;
+    ExactSearchStats hda;
+    const auto a = try_solve_exact_astar(engine, ExactSearchOptions{}, &serial);
+    const auto b = try_solve_hda_astar(engine, 1, ExactSearchOptions{}, &hda);
+    ASSERT_TRUE(a.has_value()) << spec;
+    ASSERT_TRUE(b.has_value()) << spec;
+    EXPECT_EQ(a->cost, b->cost) << spec;
+    EXPECT_EQ(serial.states_expanded, hda.states_expanded) << spec;
+    EXPECT_EQ(serial.dead_prunes, hda.dead_prunes) << spec;
+    EXPECT_GT(serial.dead_prunes, 0u) << spec;
+    EXPECT_EQ(serial.table_bytes, hda.table_bytes) << spec;
   }
 }
 
