@@ -21,11 +21,14 @@
 //    that the pass has not found, some state on its path is open with
 //    g no larger than the path's prefix cost, hence with unweighted
 //    f = g + h no larger than the completion's cost. So when a pass is cut
-//    by its budget, min(incumbent, min unweighted f over the remaining
-//    open items) lower-bounds the optimum — computed by draining the
-//    queue, stale entries included (extras only lower the min, keeping it
-//    admissible). A pass that *drains* proves the incumbent optimal
-//    outright, even at w > 1.
+//    by its budget, min(incumbent, min unweighted f over the open items)
+//    lower-bounds the optimum — the item popped when the budget ran out
+//    included (it was never expanded), stale entries too (extras only
+//    lower the min, keeping it admissible). A pass that *drains* proves
+//    the incumbent optimal outright, even at w > 1.
+//
+// The passes are exact-astar's best-first pass core (exact_astar.cpp) at
+// weight w; exact-astar itself is one pass at w = 1.
 //
 // The overall lower bound is the max of the admissible start bound and the
 // per-pass frontier bounds; the incumbent is the cheapest verified trace

@@ -456,9 +456,6 @@ class TopoSolver final : public Solver {
 };
 
 // ---- shared option plumbing of the informed searches ---------------------
-// Free helpers rather than ExactSearchSolver members so the anytime adapter
-// below — which shares every option but none of the do_solve flow — can use
-// them too.
 
 /// --opt spill=auto|off|/path: auto spills to a fresh temp directory
 /// whenever a memory budget is set, off restores the hard-stop budget
@@ -546,36 +543,6 @@ std::optional<IncumbentSeed> greedy_incumbent_seed(
   return seed;
 }
 
-/// The options every informed search reads: state budget, and — for the
-/// bigstate searches — memory/disk budgets, spilling, pattern databases,
-/// and incumbent seeding.
-ExactSearchOptions parse_exact_search_options(const SolveRequest& request,
-                                              bool bigstate) {
-  const SolveBudget budget = request.budget;
-  ExactSearchOptions sopt;
-  sopt.max_states =
-      so::get_size(request.options, "max-states", budget.max_states);
-  sopt.should_stop = [budget] { return budget.interrupted(); };
-  sopt.progress = request.progress;
-  if (!bigstate) return sopt;
-  sopt.max_memory_bytes = budget.max_memory_bytes;
-  sopt.max_disk_bytes = budget.max_disk_bytes;
-  parse_spill_option(request.options, sopt);
-  sopt.pdb = parse_pdb_mode(request.options);
-  sopt.pdb_pattern_size = so::get_size(request.options, "pdb-pattern", 0);
-  if (sopt.pdb_pattern_size > PatternDatabase::kMaxHashedPatternSize) {
-    throw PreconditionError(
-        "option 'pdb-pattern': pattern width must be between 1 and " +
-        std::to_string(PatternDatabase::kMaxHashedPatternSize) + "; got " +
-        std::to_string(sopt.pdb_pattern_size));
-  }
-  sopt.pdb_partition = parse_pdb_partition(request.options);
-  if (want_incumbent_seed(request)) {
-    sopt.seed = greedy_incumbent_seed(request);
-  }
-  return sopt;
-}
-
 /// The single source of truth for which budget dimension actually ended a
 /// BudgetExhausted solve. Stored in result.stats["limiting_resource"] at the
 /// same site that builds the human-readable detail string, so the two agree
@@ -605,20 +572,6 @@ std::string limiting_resource_for(ExactTermination termination,
   }
 }
 
-/// Introspection stats every informed-search adapter reports the same way:
-/// the always-counted pop/prune tallies, plus — only when a progress sampler
-/// rode along — the per-expansion bound-source attribution and the observed
-/// heuristic error along the returned trace.
-void fill_introspection_stats(SolveResult& result,
-                              const ExactSearchStats& search_stats,
-                              bool attributed) {
-  result.stats["dup_skipped"] = std::to_string(search_stats.dup_skipped);
-  result.stats["dead_prunes"] = std::to_string(search_stats.dead_prunes);
-  if (!attributed) return;
-  result.stats["attr_counting"] = std::to_string(search_stats.attr_counting);
-  result.stats["attr_pdb"] = std::to_string(search_stats.attr_pdb);
-}
-
 /// Replay the returned trace against the counting bounds and report how
 /// tight they ran (obs::measure_heuristic_error). Only when a sampler is
 /// attached — the replay is pure but costs a bound evaluation per move.
@@ -638,7 +591,7 @@ void fill_heuristic_error_stats(SolveResult& result, const Engine& engine) {
 /// identical; only the search routine, node cap, and (for the parallel
 /// search) thread use differ. The informed searches (bigstate() true)
 /// additionally honor the memory budget, pattern-database options, and
-/// greedy incumbent seeding.
+/// greedy incumbent seeding; the anytime tier adds its certificate.
 class ExactSearchSolver : public Solver {
  public:
   std::vector<std::string_view> option_keys(
@@ -665,18 +618,69 @@ class ExactSearchSolver : public Solver {
   /// True for the informed searches that ride the bigstate subsystem
   /// (variable-width states, PDB heuristics, memory-budgeted tables).
   virtual bool bigstate() const { return true; }
-  virtual std::optional<ExactResult> search(const SolveRequest& request,
+  /// The options every informed search reads: state budget, and — for the
+  /// bigstate searches — memory/disk budgets, spilling, pattern databases,
+  /// and incumbent seeding.
+  virtual ExactSearchOptions search_options(const SolveRequest& request) const {
+    const SolveBudget budget = request.budget;
+    ExactSearchOptions sopt;
+    sopt.max_states =
+        so::get_size(request.options, "max-states", budget.max_states);
+    sopt.should_stop = [budget] { return budget.interrupted(); };
+    sopt.progress = request.progress;
+    if (!bigstate()) return sopt;
+    sopt.max_memory_bytes = budget.max_memory_bytes;
+    sopt.max_disk_bytes = budget.max_disk_bytes;
+    parse_spill_option(request.options, sopt);
+    sopt.pdb = parse_pdb_mode(request.options);
+    sopt.pdb_pattern_size = so::get_size(request.options, "pdb-pattern", 0);
+    if (sopt.pdb_pattern_size > PatternDatabase::kMaxHashedPatternSize) {
+      throw PreconditionError(
+          "option 'pdb-pattern': pattern width must be between 1 and " +
+          std::to_string(PatternDatabase::kMaxHashedPatternSize) + "; got " +
+          std::to_string(sopt.pdb_pattern_size));
+    }
+    sopt.pdb_partition = parse_pdb_partition(request.options);
+    if (want_incumbent_seed(request)) {
+      sopt.seed = greedy_incumbent_seed(request);
+    }
+    return sopt;
+  }
+  /// The search's answer, or nullopt with `stats.termination` saying why
+  /// there is none.
+  virtual std::optional<SolveResult> search(const SolveRequest& request,
                                             const ExactSearchOptions& options,
                                             ExactSearchStats& stats) const = 0;
+  /// Stats of one search kind, written after the shared ones.
+  virtual void add_stats(SolveResult& /*result*/,
+                         const SolveRequest& /*request*/,
+                         const ExactSearchOptions& /*options*/,
+                         const ExactSearchStats& /*stats*/,
+                         bool /*failed*/) const {}
+
+  /// A proven optimum. The engine itself enforced the convention — no
+  /// bridging needed, and the optimality claim stands for the exact rules
+  /// requested.
+  std::optional<SolveResult> proven(const SolveRequest& request,
+                                    std::optional<ExactResult> solved) const {
+    if (!solved) return std::nullopt;
+    return make_result(request, std::move(solved->trace), SolveStatus::Optimal,
+                       {}, /*bridge_conventions=*/false);
+  }
 
   SolveResult do_solve(const SolveRequest& request) const override {
-    ExactSearchOptions sopt = parse_exact_search_options(request, bigstate());
+    ExactSearchOptions sopt = search_options(request);
     ExactSearchStats search_stats;
-    auto solved = search(request, sopt, search_stats);
+    std::optional<SolveResult> solved = search(request, sopt, search_stats);
     const bool failed = !solved.has_value();
-    auto fill_common_stats = [&](SolveResult& result) {
-      result.stats["max_states"] = std::to_string(sopt.max_states);
-      if (!bigstate()) return;
+    SolveResult result =
+        failed ? failure(request, sopt, search_stats) : std::move(*solved);
+    // Partial progress is reported on failure too: how far the search got
+    // is exactly what a caller tuning budgets needs to see.
+    result.stats["max_states"] = std::to_string(sopt.max_states);
+    result.stats["states_expanded"] =
+        std::to_string(search_stats.states_expanded);
+    if (bigstate()) {
       result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
       result.stats["spilled_states"] =
           std::to_string(search_stats.spilled_states);
@@ -696,93 +700,88 @@ class ExactSearchSolver : public Solver {
         result.stats["threads_used"] =
             std::to_string(search_stats.threads_used);
       }
-    };
-    if (failed) {
-      std::string detail;
-      SolveStatus status = SolveStatus::BudgetExhausted;
-      switch (search_stats.termination) {
-        case ExactTermination::Exhausted:
-          status = SolveStatus::Inapplicable;
-          detail =
-              "configuration graph exhausted without reaching a complete "
-              "state; the instance admits no pebbling under these rules";
-          break;
-        case ExactTermination::StateBudget:
-          detail = "state budget (" + std::to_string(sopt.max_states) +
-                   ") exhausted before an optimum was proven";
-          break;
-        case ExactTermination::MemoryBudget:
-          detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
-                   " bytes) exhausted before an optimum was proven";
-          if (search_stats.table_headroom_stop) {
-            // The table itself fit; the copy peak of its next doubling did
-            // not. Without this line the stop is indistinguishable from a
-            // genuinely too-small budget.
-            detail +=
-                "; stopped by the rehash transient: the grown table would "
-                "fit the budget but old+new slabs during the copy do not "
-                "(table_headroom_stop) — slightly more --budget-memory "
-                "would let the search continue";
-          }
-          if (sopt.spill == SpillMode::Off) {
-            detail += "; spilling to disk was disabled (spill=off)";
-          } else if (sopt.max_disk_bytes != 0 &&
-                     !search_stats.spill_io_error) {
-            // With spilling on, this termination means the runs could not
-            // grow either — the disk budget is what actually stopped it.
-            detail += "; disk budget (" +
-                      std::to_string(sopt.max_disk_bytes) +
-                      " bytes) blocked further spilling (" +
-                      std::to_string(search_stats.spilled_states) +
-                      " states spilled)";
-          } else {
-            // Raising --budget-disk cannot fix this one: the filesystem
-            // itself refused the write.
-            detail += "; spilling to disk failed (disk full or I/O error; " +
-                      std::to_string(search_stats.spilled_states) +
-                      " states spilled)";
-          }
-          break;
-        default:
-          detail =
-              "deadline or cancellation hit before an optimum was proven";
+    }
+    if (result.status == SolveStatus::BudgetExhausted) {
+      result.stats["limiting_resource"] =
+          limiting_resource_for(search_stats.termination, sopt, search_stats);
+    }
+    result.stats["dup_skipped"] = std::to_string(search_stats.dup_skipped);
+    result.stats["dead_prunes"] = std::to_string(search_stats.dead_prunes);
+    if (request.progress != nullptr) {
+      // A sampler rode along: per-expansion bound-source attribution, and —
+      // measured against the optimal remaining cost, so only on a proven
+      // optimum — the heuristic error along the trace.
+      result.stats["attr_counting"] =
+          std::to_string(search_stats.attr_counting);
+      result.stats["attr_pdb"] = std::to_string(search_stats.attr_pdb);
+      if (result.status == SolveStatus::Optimal) {
+        fill_heuristic_error_stats(result, *request.engine);
       }
-      SolveResult result;
-      if (sopt.seed && status == SolveStatus::BudgetExhausted) {
-        // The verified seed trace is a legal complete pebbling — return it
-        // as the best-so-far rather than discarding it (BudgetExhausted is
-        // documented as "a best-so-far trace may exist").
-        result = make_result(request, std::move(sopt.seed->trace), status, {},
-                             /*bridge_conventions=*/false);
-        result.detail = detail + "; returning the heuristic incumbent seed";
-      } else {
-        result = fail(status, std::move(detail));
-      }
-      // Partial progress still gets reported: how far the search got is
-      // exactly what a caller tuning budgets needs to see.
-      result.stats["states_expanded"] =
-          std::to_string(search_stats.states_expanded);
-      fill_common_stats(result);
-      fill_introspection_stats(result, search_stats,
-                               request.progress != nullptr);
-      if (status == SolveStatus::BudgetExhausted) {
-        result.stats["limiting_resource"] =
-            limiting_resource_for(search_stats.termination, sopt, search_stats);
-      }
+    }
+    add_stats(result, request, sopt, search_stats, failed);
+    return result;
+  }
+
+ private:
+  SolveResult failure(const SolveRequest& request, ExactSearchOptions& sopt,
+                      const ExactSearchStats& search_stats) const {
+    std::string detail;
+    SolveStatus status = SolveStatus::BudgetExhausted;
+    switch (search_stats.termination) {
+      case ExactTermination::Exhausted:
+        status = SolveStatus::Inapplicable;
+        detail =
+            "configuration graph exhausted without reaching a complete "
+            "state; the instance admits no pebbling under these rules";
+        break;
+      case ExactTermination::StateBudget:
+        detail = "state budget (" + std::to_string(sopt.max_states) +
+                 ") exhausted before an optimum was proven";
+        break;
+      case ExactTermination::MemoryBudget:
+        detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
+                 " bytes) exhausted before an optimum was proven";
+        if (search_stats.table_headroom_stop) {
+          // The table itself fit; the copy peak of its next doubling did
+          // not. Without this line the stop is indistinguishable from a
+          // genuinely too-small budget.
+          detail +=
+              "; stopped by the rehash transient: the grown table would "
+              "fit the budget but old+new slabs during the copy do not "
+              "(table_headroom_stop) — slightly more --budget-memory "
+              "would let the search continue";
+        }
+        if (sopt.spill == SpillMode::Off) {
+          detail += "; spilling to disk was disabled (spill=off)";
+        } else if (sopt.max_disk_bytes != 0 && !search_stats.spill_io_error) {
+          // With spilling on, this termination means the runs could not
+          // grow either — the disk budget is what actually stopped it.
+          detail += "; disk budget (" + std::to_string(sopt.max_disk_bytes) +
+                    " bytes) blocked further spilling (" +
+                    std::to_string(search_stats.spilled_states) +
+                    " states spilled)";
+        } else {
+          // Raising --budget-disk cannot fix this one: the filesystem
+          // itself refused the write.
+          detail += "; spilling to disk failed (disk full or I/O error; " +
+                    std::to_string(search_stats.spilled_states) +
+                    " states spilled)";
+        }
+        break;
+      default:
+        detail = "deadline or cancellation hit before an optimum was proven";
+    }
+    if (sopt.seed && status == SolveStatus::BudgetExhausted) {
+      // The verified seed trace is a legal complete pebbling — return it
+      // as the best-so-far rather than discarding it (BudgetExhausted is
+      // documented as "a best-so-far trace may exist").
+      SolveResult result =
+          make_result(request, std::move(sopt.seed->trace), status, {},
+                      /*bridge_conventions=*/false);
+      result.detail = detail + "; returning the heuristic incumbent seed";
       return result;
     }
-    // The engine itself enforces the convention here — no bridging needed,
-    // and the optimality claim stands for the exact rules requested.
-    SolveResult result = make_result(
-        request, std::move(solved->trace), SolveStatus::Optimal,
-        {{"states_expanded", std::to_string(solved->states_expanded)}},
-        /*bridge_conventions=*/false);
-    fill_common_stats(result);
-    fill_introspection_stats(result, search_stats, request.progress != nullptr);
-    if (request.progress != nullptr) {
-      fill_heuristic_error_stats(result, *request.engine);
-    }
-    return result;
+    return fail(status, std::move(detail));
   }
 };
 
@@ -797,11 +796,11 @@ class ExactSolver final : public ExactSearchSolver {
  protected:
   std::size_t node_cap() const override { return 21; }
   bool bigstate() const override { return false; }
-  std::optional<ExactResult> search(const SolveRequest& request,
+  std::optional<SolveResult> search(const SolveRequest& request,
                                     const ExactSearchOptions& options,
                                     ExactSearchStats& stats) const override {
-    return try_solve_exact(*request.engine, options.max_states,
-                           options.should_stop, &stats);
+    return proven(request, try_solve_exact(*request.engine, options.max_states,
+                                           options.should_stop, &stats));
   }
 };
 
@@ -819,10 +818,11 @@ class ExactAstarSolver final : public ExactSearchSolver {
 
  protected:
   std::size_t node_cap() const override { return kExactAstarMaxNodes; }
-  std::optional<ExactResult> search(const SolveRequest& request,
+  std::optional<SolveResult> search(const SolveRequest& request,
                                     const ExactSearchOptions& options,
                                     ExactSearchStats& stats) const override {
-    return try_solve_exact_astar(*request.engine, options, &stats);
+    return proven(request,
+                  try_solve_exact_astar(*request.engine, options, &stats));
   }
 };
 
@@ -853,11 +853,12 @@ class HdaAstarSolver final : public ExactSearchSolver {
         so::get_size(request.options, "threads", request.budget.threads));
   }
 
-  std::optional<ExactResult> search(const SolveRequest& request,
+  std::optional<SolveResult> search(const SolveRequest& request,
                                     const ExactSearchOptions& options,
                                     ExactSearchStats& stats) const override {
-    return try_solve_hda_astar(*request.engine, resolved_threads(request),
-                               options, &stats);
+    return proven(request, try_solve_hda_astar(*request.engine,
+                                               resolved_threads(request),
+                                               options, &stats));
   }
 
   SolveResult do_solve(const SolveRequest& request) const override {
@@ -915,7 +916,7 @@ std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
 /// The anytime tier: weighted-A* passes tightening a verified incumbent,
 /// returned with a machine-checkable (1+ε) certificate. Soundness argument
 /// in solvers/anytime_astar.hpp; shares every informed-search option.
-class AnytimeSolver final : public Solver {
+class AnytimeSolver final : public ExactSearchSolver {
  public:
   std::string_view name() const override { return "anytime-astar"; }
   std::string_view description() const override {
@@ -926,26 +927,18 @@ class AnytimeSolver final : public Solver {
 
   std::vector<std::string_view> option_keys(
       const SolveRequest* request) const override {
-    (void)request;
-    return {"max-states", "pdb", "pdb-pattern", "pdb-partition", "incumbent",
-            "spill", "weights", "epsilon"};
-  }
-
-  std::optional<std::string> why_inapplicable(
-      const SolveRequest& request) const override {
-    const std::size_t n = request.engine->dag().node_count();
-    if (n > kExactAstarMaxNodes) {
-      return "DAG has " + std::to_string(n) +
-             " nodes; anytime-astar supports at most " +
-             std::to_string(kExactAstarMaxNodes);
-    }
-    return std::nullopt;
+    std::vector<std::string_view> keys =
+        ExactSearchSolver::option_keys(request);
+    keys.insert(keys.end(), {"weights", "epsilon"});
+    return keys;
   }
 
  protected:
-  SolveResult do_solve(const SolveRequest& request) const override {
-    ExactSearchOptions sopt =
-        parse_exact_search_options(request, /*bigstate=*/true);
+  std::size_t node_cap() const override { return kExactAstarMaxNodes; }
+
+  ExactSearchOptions search_options(
+      const SolveRequest& request) const override {
+    ExactSearchOptions sopt = ExactSearchSolver::search_options(request);
     // The anytime contract is "every instance gets an answer": unlike the
     // exact searches (which seed only past the fixed-width cap to keep
     // small-instance expansion counts bit-for-bit), incumbent=auto seeds at
@@ -955,6 +948,12 @@ class AnytimeSolver final : public Solver {
         so::get(request.options, "incumbent").value_or("auto") == "auto") {
       sopt.seed = greedy_incumbent_seed(request);
     }
+    return sopt;
+  }
+
+  std::optional<SolveResult> search(const SolveRequest& request,
+                                    const ExactSearchOptions& options,
+                                    ExactSearchStats& stats) const override {
     AnytimeOptions aopt;
     aopt.target_epsilon = so::get_double(request.options, "epsilon", 0.0);
     if (aopt.target_epsilon < 0.0) {
@@ -964,72 +963,9 @@ class AnytimeSolver final : public Solver {
     if (auto schedule = so::get(request.options, "weights")) {
       aopt.weights = parse_weight_schedule(*schedule);
     }
-    ExactSearchStats search_stats;
     auto solved =
-        try_solve_anytime_astar(*request.engine, sopt, aopt, &search_stats);
-    auto fill_common_stats = [&](SolveResult& result) {
-      result.stats["max_states"] = std::to_string(sopt.max_states);
-      result.stats["states_expanded"] =
-          std::to_string(search_stats.states_expanded);
-      result.stats["anytime_passes"] =
-          std::to_string(search_stats.anytime_passes);
-      result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
-      result.stats["spilled_states"] =
-          std::to_string(search_stats.spilled_states);
-      result.stats["spill_bytes"] = std::to_string(search_stats.spill_bytes);
-      result.stats["spill_peak_bytes"] =
-          std::to_string(search_stats.spill_peak_bytes);
-      result.stats["merge_passes"] =
-          std::to_string(search_stats.merge_passes);
-      if (search_stats.table_headroom_stop) {
-        result.stats["table_headroom_stop"] = "true";
-      }
-    };
-    if (!solved) {
-      std::string detail;
-      SolveStatus status = SolveStatus::BudgetExhausted;
-      switch (search_stats.termination) {
-        case ExactTermination::Exhausted:
-          status = SolveStatus::Inapplicable;
-          detail =
-              "configuration graph exhausted without reaching a complete "
-              "state; the instance admits no pebbling under these rules";
-          break;
-        case ExactTermination::StateBudget:
-          detail = "state budget (" + std::to_string(sopt.max_states) +
-                   ") exhausted before any pass found a completion";
-          break;
-        case ExactTermination::MemoryBudget:
-          detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
-                   " bytes) exhausted before any pass found a completion";
-          if (search_stats.table_headroom_stop) {
-            detail +=
-                "; stopped by the rehash transient: the grown table would "
-                "fit the budget but old+new slabs during the copy do not "
-                "(table_headroom_stop)";
-          }
-          break;
-        default:
-          detail = "deadline or cancellation hit before any pass found a "
-                   "completion";
-      }
-      SolveResult result = fail(status, std::move(detail));
-      if (search_stats.lower_bound_scaled >= 0) {
-        // No trace to certify, but the lower bound the passes proved is
-        // still true — report it for budget tuning.
-        const std::int64_t eps_den = request.engine->model().epsilon().den();
-        result.stats["lower_bound"] =
-            Rational(search_stats.lower_bound_scaled, eps_den).str();
-      }
-      fill_common_stats(result);
-      fill_introspection_stats(result, search_stats,
-                               request.progress != nullptr);
-      if (status == SolveStatus::BudgetExhausted) {
-        result.stats["limiting_resource"] =
-            limiting_resource_for(search_stats.termination, sopt, search_stats);
-      }
-      return result;
-    }
+        try_solve_anytime_astar(*request.engine, options, aopt, &stats);
+    if (!solved) return std::nullopt;
     const bool optimal = solved->optimal;
     // The search enforced the engine's convention natively (and a seed trace
     // was bridged by the greedy adapter), so no bridging — and the Optimal
@@ -1058,20 +994,27 @@ class AnytimeSolver final : public Solver {
           "budget ended refinement before any nonzero lower bound was "
           "proved; the trace is verified but carries no guarantee";
     }
-    result.stats["incumbent_source"] =
-        search_stats.seed_won ? "greedy"
-                              : (sopt.seed && search_stats.incumbent_scaled ==
-                                                  sopt.seed->g_scaled
-                                     ? "greedy"
-                                     : "search");
-    fill_common_stats(result);
-    fill_introspection_stats(result, search_stats, request.progress != nullptr);
-    // h-error is measured against the *optimal* remaining cost, so it is
-    // only meaningful when the trace is proven optimal.
-    if (request.progress != nullptr && optimal) {
-      fill_heuristic_error_stats(result, *request.engine);
-    }
     return result;
+  }
+
+  void add_stats(SolveResult& result, const SolveRequest& request,
+                 const ExactSearchOptions& options,
+                 const ExactSearchStats& stats, bool failed) const override {
+    result.stats["anytime_passes"] = std::to_string(stats.anytime_passes);
+    if (!failed) {
+      // The incumbent stays the seed's until a pass beats it.
+      result.stats["incumbent_source"] =
+          stats.seed_won || (options.seed && stats.incumbent_scaled ==
+                                                 options.seed->g_scaled)
+              ? "greedy"
+              : "search";
+    } else if (stats.lower_bound_scaled >= 0) {
+      // No trace to certify, but the lower bound the passes proved is
+      // still true — report it for budget tuning.
+      const std::int64_t eps_den = request.engine->model().epsilon().den();
+      result.stats["lower_bound"] =
+          Rational(stats.lower_bound_scaled, eps_den).str();
+    }
   }
 };
 

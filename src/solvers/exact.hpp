@@ -92,8 +92,8 @@ struct ExactSearchStats {
   std::size_t dup_skipped = 0;
   /// Generations of states the bound proved dead, counted once per
   /// generation: dead states never enter the closed table, so one
-  /// regenerated later is priced — and counted — again. All three A*
-  /// loops count alike, so exact-astar and hda-astar@1 agree.
+  /// regenerated later is priced — and counted — again. exact-astar,
+  /// anytime-astar and hda-astar count alike.
   std::size_t dead_prunes = 0;
 };
 
@@ -131,9 +131,9 @@ enum class PdbPartition { Cone, MinCut };
 /// under ExactSearchOptions::spill_path. CLI: --opt spill=auto|off|/path.
 enum class SpillMode { Auto, Off, Path };
 
-/// Knobs of the informed searches (exact-astar, hda-astar) beyond the plain
-/// state budget. Defaults reproduce the historical behavior on ≤42-node
-/// instances exactly.
+/// Knobs of the informed searches (exact-astar, anytime-astar, hda-astar)
+/// beyond the plain state budget. Defaults reproduce the historical
+/// behavior on ≤42-node instances exactly.
 struct ExactSearchOptions {
   /// Configuration-graph states the search may expand.
   std::size_t max_states = 2'000'000;

@@ -16,12 +16,10 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
-#include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/bigstate/var_state.hpp"
+#include "src/solvers/best_first.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/hda/shard.hpp"
 #include "src/solvers/hda/termination.hpp"
-#include "src/solvers/packed_state.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -104,7 +102,7 @@ struct SearchContext {
 /// below it is a real completion (or the verified seed) worth reporting.
 template <typename Packed, typename Masks>
 void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
-                const PatternDatabase* pdb, std::size_t wid,
+                const std::optional<PatternDatabase>& pdb, std::size_t wid,
                 std::size_t max_states, const StopPredicate& should_stop,
                 obs::SearchProgressSampler* sampler,
                 std::int64_t no_incumbent) {
@@ -122,12 +120,10 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
   obs::Counter& expanded_counter =
       obs::MetricsRegistry::instance().counter("search.expanded");
 
-  StateBoundEvaluator bound(engine);
-  if (pdb != nullptr) bound.attach_pdb(pdb);  // read-only, shared by workers
+  StateBoundEvaluator bound = best_first::make_bound(engine, pdb);  // shared
   // The shared PDB tables and this worker's bucket arrays are budgeted
   // against this shard's table cap; the queue share refreshes per poll.
-  const std::size_t pdb_share =
-      pdb == nullptr ? 0 : pdb->table_bytes() / workers;
+  const std::size_t pdb_share = pdb ? pdb->table_bytes() / workers : 0;
   self.table.set_overhead_bytes(pdb_share + self.queue.bytes());
   WorkerLedger ledger;
   std::vector<std::vector<StateMsg<Packed>>> out(workers);
@@ -166,7 +162,7 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
       case Table::Relax::Improved:
         break;
     }
-    self.queue.push(m.f, {m.key, m.g});
+    self.queue.push(m.f, {m.key, m.g, m.f});
   };
 
   // Route a generated state to its owner: same-shard states relax in place,
@@ -283,14 +279,7 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
           const std::int64_t inc =
               ctx.incumbent.load(std::memory_order_relaxed);
           ob.incumbent_scaled = inc < no_incumbent ? inc : -1;
-          ob.open_states = self.queue.size();
-          using OpenItem = typename Shard<Packed>::OpenItem;
-          self.queue.for_each([&](std::int64_t fq, const OpenItem& qi) {
-            if (ob.open_f_min < 0 || fq < ob.open_f_min) ob.open_f_min = fq;
-            ob.open_f_max = std::max(ob.open_f_max, fq);
-            if (ob.open_g_min < 0 || qi.g < ob.open_g_min) ob.open_g_min = qi.g;
-            ob.open_g_max = std::max(ob.open_g_max, qi.g);
-          });
+          best_first::summarize_open(self.queue, ob);
           ob.dup_skipped = ctx.dup_skipped.load(std::memory_order_relaxed);
           ob.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
           ob.attr_counting =
@@ -313,15 +302,8 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
     ++local_expanded;
 
     if (sampler != nullptr) {
-      // Bound-source attribution: one extra (pure, deterministic) bound
-      // evaluation per expansion, only when someone is watching, so
-      // un-instrumented searches stay byte-identical.
-      (void)bound.lower_bound_scaled(masks);
-      if (bound.last_source() == StateBoundEvaluator::BoundSource::Pdb) {
-        ++local_attr_pdb;
-      } else {
-        ++local_attr_counting;
-      }
+      best_first::attribute_bound(bound, masks, local_attr_counting,
+                                  local_attr_pdb);
     }
     bound.legal_moves(masks, moves);
     for (const Move& move : moves) {
@@ -356,36 +338,30 @@ bool serial_instance(const Dag& dag) {
   return true;
 }
 
+/// Workers a search may run under its memory budget. Each shard gets an
+/// even share of the budget. Without spilling, a share below one slot slab
+/// cannot hold even the start state, and one below a table's first growth
+/// stops the shard at its first slab — splitting such a budget only
+/// fragments it. Run fewer workers instead, so a tight budget bites the way
+/// it does in the serial search at any thread count. (A spilling shard
+/// admits its first slab regardless and sheds the rest to its partition.)
+template <typename Packed>
+std::size_t budgeted_workers(std::size_t workers,
+                             const ExactSearchOptions& opt) {
+  if (opt.max_memory_bytes == 0 || bigstate_spill_enabled(opt)) return workers;
+  return std::clamp<std::size_t>(
+      opt.max_memory_bytes / SpillingClosedTable<Packed>::first_growth_bytes(),
+      1, workers);
+}
+
+/// The sharded search proper, for two or more workers.
 template <typename Packed, typename Masks>
 std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
                                     const ExactSearchOptions& opt,
                                     ExactSearchStats& stats) {
-  using Key = typename Packed::Key;
-  const Dag& dag = engine.dag();
-  const Model& model = engine.model();
-  const std::size_t n = dag.node_count();
-  const std::int64_t eps_den = model.epsilon().den();
-  const StopPredicate& should_stop = opt.should_stop;
-
-  auto fill_spill_stats = [&](SearchContext<Packed>& ctx) {
-    stats.table_bytes = 0;
-    stats.spilled_states = 0;
-    stats.spill_bytes = 0;
-    stats.spill_peak_bytes = 0;
-    stats.merge_passes = 0;
-    stats.spill_io_error = false;
-    stats.table_headroom_stop = false;
-    for (const auto& shard : ctx.shards) {
-      stats.table_bytes += shard->table.bytes();
-      stats.spilled_states += shard->table.spilled_states();
-      stats.spill_bytes += shard->table.spill_bytes();
-      stats.spill_peak_bytes += shard->table.spill_peak_bytes();
-      stats.merge_passes += shard->table.merge_passes();
-      stats.spill_io_error |= shard->table.spill_io_error();
-      stats.table_headroom_stop |= shard->table.headroom_stop();
-    }
-  };
-  auto give_up = [&](ExactTermination why) {
+  const std::size_t n = engine.dag().node_count();
+  const std::int64_t eps_den = engine.model().epsilon().den();
+  auto give_up = [&](ExactTermination why) -> std::optional<ExactResult> {
     stats.termination = why;
     return std::nullopt;
   };
@@ -394,38 +370,18 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   // verified cost, pruning speculation above a known completion from move
   // one — so "f >= incumbent" subsumes the ceiling prune of the sequential
   // A* until a real complete state undercuts it.
-  const std::int64_t ceiling = universal_search_ceiling_scaled(dag, model);
+  const std::int64_t ceiling = best_first::search_ceiling(engine);
   const std::int64_t seeded_incumbent =
       opt.seed ? std::min(ceiling + 1, opt.seed->g_scaled) : ceiling + 1;
 
-  std::optional<PatternDatabase> pdb;
-  if (bigstate_pdb_enabled(opt, n)) {
-    // Hashed PDB tables (patterns wider than 8) take at most half of the
-    // memory budget, leaving the rest to the shard tables; their builds
-    // truncate admissibly at the cap instead of overshooting.
-    pdb.emplace(engine, opt.pdb_pattern_size, should_stop, opt.pdb_partition,
-                opt.max_memory_bytes != 0 ? opt.max_memory_bytes / 2 : 0);
-    if (pdb->build_aborted()) return give_up(ExactTermination::Stopped);
-  }
+  const std::optional<PatternDatabase> pdb = best_first::build_pdb(engine, opt);
+  if (pdb && pdb->build_aborted()) return give_up(ExactTermination::Stopped);
 
   // One spill directory per search, one private partition per shard: run
   // files stay single-owner, so the disk path needs no locks. Declared
   // before the context so the shards' run files die first.
   std::optional<bigstate::SpillDirectory> spill_dir =
       make_spill_directory(opt);
-  // Each shard gets an even share of the memory budget. Without spilling,
-  // a share below one slot slab cannot hold even the start state, and one
-  // below a table's first growth stops the shard at its first slab —
-  // splitting such a budget only fragments it. Run fewer workers instead,
-  // so a tight budget bites the way it does in the serial search at any
-  // thread count. (A spilling shard admits its first slab regardless and
-  // sheds the rest to its partition.)
-  if (opt.max_memory_bytes != 0 && !spill_dir) {
-    workers = std::clamp<std::size_t>(
-        opt.max_memory_bytes /
-            SpillingClosedTable<Packed>::first_growth_bytes(),
-        1, workers);
-  }
   std::vector<std::string> spill_partitions;
   if (spill_dir) {
     spill_partitions.reserve(workers);
@@ -445,27 +401,18 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
           : std::max<std::size_t>(1, opt.max_disk_bytes / workers),
       seeded_incumbent);
   stats.threads_used = workers;
-
-  // Nothing prices below the seed, so the seed is optimal — return it.
-  auto seed_wins = [&]() {
-    stats.termination = ExactTermination::Solved;
-    fill_spill_stats(ctx);
-    stats.seed_won = true;
-    ExactResult result;
-    result.trace = opt.seed->trace;
-    result.cost = Rational(opt.seed->g_scaled, eps_den);
-    result.states_expanded = stats.states_expanded;
-    return result;
+  auto fold_shards = [&] {
+    for (const auto& shard : ctx.shards) {
+      best_first::fold_table_stats(stats, shard->table, /*concurrent=*/true);
+    }
   };
 
-  const GameState start_state = engine.initial_state();
-  const Packed start = Packed::from_state(start_state);
+  const Packed start = Packed::from_state(engine.initial_state());
   {
-    StateBoundEvaluator bound(engine);
-    if (pdb) bound.attach_pdb(&*pdb);
+    StateBoundEvaluator bound = best_first::make_bound(engine, pdb);
     std::optional<std::int64_t> start_h = bound.lower_bound_scaled(start);
     if (!start_h || *start_h >= seeded_incumbent) {
-      if (opt.seed) return seed_wins();
+      if (opt.seed) return best_first::seed_optimum(engine, opt, stats);
       return give_up(ExactTermination::Exhausted);
     }
     // Seed the owner shard before any worker exists; thread creation
@@ -475,10 +422,10 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
     if (home.table.relax(start.key(), 0, start.key(),
                          Move{MoveType::Load, 0}) ==
         Shard<Packed>::Table::Relax::OutOfMemory) {
-      fill_spill_stats(ctx);
+      fold_shards();
       return give_up(ExactTermination::MemoryBudget);
     }
-    home.queue.push(*start_h, {start.key(), 0});
+    home.queue.push(*start_h, {start.key(), 0, *start_h});
   }
 
   const obs::TraceSpan search_span("hda.search", "workers", workers);
@@ -491,9 +438,8 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
     threads.emplace_back([&, w] {
       const obs::ScopedTraceContext ctx_scope(trace_ctx);
       try {
-        hda_worker<Packed, Masks>(engine, ctx, pdb ? &*pdb : nullptr, w,
-                                  opt.max_states, should_stop, opt.progress,
-                                  ceiling + 1);
+        hda_worker<Packed, Masks>(engine, ctx, pdb, w, opt.max_states,
+                                  opt.should_stop, opt.progress, ceiling + 1);
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(ctx.error_mutex);
@@ -510,7 +456,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   stats.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
   stats.attr_counting = ctx.attr_counting.load(std::memory_order_relaxed);
   stats.attr_pdb = ctx.attr_pdb.load(std::memory_order_relaxed);
-  fill_spill_stats(ctx);
+  fold_shards();
   if (ctx.error) std::rethrow_exception(ctx.error);
   if (ctx.abort.load(std::memory_order_acquire)) {
     return give_up(static_cast<ExactTermination>(
@@ -519,7 +465,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   if (!ctx.has_goal) {
     // Quiescence with no goal: with a seed it proves nothing beats the
     // seed; without one the reachable graph is exhausted.
-    if (opt.seed) return seed_wins();
+    if (opt.seed) return best_first::seed_optimum(engine, opt, stats);
     return give_up(ExactTermination::Exhausted);
   }
 
@@ -529,18 +475,11 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   // Settle each shard first: an evicted-then-regenerated ancestor's RAM
   // entry could otherwise splice a worse tree edge into the optimal trace.
   for (auto& shard : ctx.shards) shard->table.settle();
-  std::vector<Move> reversed;
-  Key cursor = ctx.goal_key;
-  while (!(cursor == start.key())) {
-    const auto& link =
-        ctx.shard(hda::owner_of<Packed>(cursor, workers)).table.at(cursor);
-    reversed.push_back(link.via);
-    cursor = link.parent;
-  }
   ExactResult result;
-  for (std::size_t i = reversed.size(); i-- > 0;) {
-    result.trace.push(reversed[i]);
-  }
+  result.trace =
+      best_first::walk_trace(ctx.goal_key, start.key(), [&](const auto& key) {
+        return ctx.shard(hda::owner_of<Packed>(key, workers)).table.at(key);
+      });
   result.cost = Rational(ctx.incumbent.load(std::memory_order_relaxed), eps_den);
   result.states_expanded = stats.states_expanded;
   stats.termination = ExactTermination::Solved;
@@ -571,22 +510,18 @@ std::optional<ExactResult> try_solve_hda_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};
-  const bool force_wide = options.force_var_state || options.force_mask_vec;
-  using Masks1 = StateBoundEvaluator::StateMasks;
-  if (options.force_mask_vec || n > StateBoundEvaluator::kWideMaskMaxNodes) {
-    // Runtime-width masks: the only path past 128 nodes, and the forced
-    // differential-testing path below it.
-    return hda_impl<VarPackedState, StateBoundEvaluator::MaskVec>(
-        engine, workers, options, *stats);
-  }
-  if (!force_wide && n <= PackedState64::max_nodes()) {
-    return hda_impl<PackedState64, Masks1>(engine, workers, options, *stats);
-  }
-  if (!force_wide && n <= PackedState128::max_nodes()) {
-    return hda_impl<PackedState128, Masks1>(engine, workers, options, *stats);
-  }
-  return hda_impl<VarPackedState, StateBoundEvaluator::WideStateMasks>(
-      engine, workers, options, *stats);
+  return best_first::dispatch_width(
+      n, options, [&]<typename Packed, typename Masks>() {
+        workers = budgeted_workers<Packed>(workers, options);
+        if (workers > 1) {
+          return hda_impl<Packed, Masks>(engine, workers, options, *stats);
+        }
+        // One worker runs exact-astar's serial pass: no mailbox, no token
+        // ring, and the search stops at its first completion.
+        auto result = try_solve_exact_astar(engine, options, stats);
+        stats->threads_used = 1;
+        return result;
+      });
 }
 
 std::optional<ExactResult> try_solve_hda_astar(const Engine& engine,
@@ -603,20 +538,9 @@ std::optional<ExactResult> try_solve_hda_astar(const Engine& engine,
 ExactResult solve_hda_astar(const Engine& engine, std::size_t threads,
                             std::size_t max_states) {
   ExactSearchStats stats;
-  auto result = try_solve_hda_astar(engine, threads, max_states, {}, &stats);
-  if (!result) {
-    switch (stats.termination) {
-      case ExactTermination::Exhausted:
-        throw InvariantError(
-            "solve_hda_astar exhausted the reachable configuration graph "
-            "without a complete state");
-      case ExactTermination::MemoryBudget:
-        throw InvariantError("solve_hda_astar exceeded its memory budget");
-      default:
-        throw InvariantError("solve_hda_astar exceeded its state budget");
-    }
-  }
-  return std::move(*result);
+  return best_first::value_or_throw(
+      try_solve_hda_astar(engine, threads, max_states, {}, &stats), stats,
+      "solve_hda_astar");
 }
 
 }  // namespace rbpeb

@@ -25,7 +25,8 @@
 // (level width 1 — chains), hash-sharding degenerates into cross-thread
 // hand-offs of a single state, each paying mailbox plus wake latency, so
 // the search automatically falls back to one worker
-// (ExactSearchStats::threads_used reports the actual count).
+// (ExactSearchStats::threads_used reports the actual count). One worker,
+// however it came about, runs exact-astar's pass: no mailbox, no ring.
 #pragma once
 
 #include <cstddef>

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/pebble/move.hpp"
+#include "src/solvers/best_first.hpp"
 #include "src/solvers/bigstate/ddd.hpp"
 #include "src/solvers/bucket_queue.hpp"
 
@@ -89,12 +90,6 @@ struct Shard {
   using Table = SpillingClosedTable<Packed>;
   using Entry = typename Table::Entry;
 
-  /// Open-queue item; stale once `g` no longer matches the table.
-  struct OpenItem {
-    typename Packed::Key key;
-    std::int64_t g;
-  };
-
   /// `spill_dir` is this shard's private partition ("" = spilling off).
   Shard(std::size_t node_count, std::size_t bucket_count,
         std::size_t max_table_bytes, const std::string& spill_dir,
@@ -103,7 +98,7 @@ struct Shard {
         queue(bucket_count) {}
 
   Table table;
-  BucketQueue<OpenItem> queue;
+  BucketQueue<best_first::OpenItem<typename Packed::Key>> queue;
   Mailbox<Packed> mailbox;
 };
 

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/dag_builder.hpp"
+#include "src/instances/spec.hpp"
 #include "src/pebble/bounds.hpp"
+#include "src/pebble/trace_io.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/api.hpp"
 #include "src/solvers/exact_astar.hpp"
@@ -170,6 +172,61 @@ TEST(AnytimeAstar, RejectsWeightsBelowOne) {
   EXPECT_THROW(try_solve_anytime_astar(engine, {}, bad), PreconditionError);
 }
 
+// ---- one pass core: exact-astar is the unit-weight pass -------------------
+
+/// A one-pass {1} schedule without a seed is exact-astar: the same cost,
+/// trace and counters on every model and state width, whether the pass
+/// solves or is cut by the state budget.
+TEST(AnytimeAstar, UnitWeightPassIsExactAstar) {
+  struct Width {
+    const char* name;
+    bool force_var_state;
+    bool force_mask_vec;
+  };
+  const Width widths[] = {
+      {"default", false, false}, {"var", true, false}, {"vec", false, true}};
+  AnytimeOptions unit;
+  unit.weights = {{1, 1}};
+  for (const char* spec :
+       {"pyramid:base=4", "stencil:width=3,steps=3", "chain:n=12",
+        "layered:layers=4,width=3,indegree=2,seed=61"}) {
+    const Dag dag = instances::resolve_instance(spec).dag;
+    for (const Model& model : all_models()) {
+      Engine engine(dag, model, min_red_pebbles(dag) + 1);
+      for (const Width& width : widths) {
+        for (std::size_t budget : {400'000u, 300u}) {
+          const std::string where = std::string(spec) + " " + model.name() +
+                                    " " + width.name + " " +
+                                    std::to_string(budget);
+          ExactSearchOptions options;
+          options.max_states = budget;
+          options.force_var_state = width.force_var_state;
+          options.force_mask_vec = width.force_mask_vec;
+          ExactSearchStats exact_stats;
+          ExactSearchStats pass_stats;
+          const auto exact =
+              try_solve_exact_astar(engine, options, &exact_stats);
+          const auto pass =
+              try_solve_anytime_astar(engine, options, unit, &pass_stats);
+          ASSERT_EQ(exact.has_value(), pass.has_value()) << where;
+          if (exact) {
+            EXPECT_EQ(pass->cost, exact->cost) << where;
+            EXPECT_TRUE(pass->optimal) << where;
+            EXPECT_EQ(trace_to_text(pass->trace), trace_to_text(exact->trace))
+                << where;
+          }
+          EXPECT_EQ(pass_stats.termination, exact_stats.termination) << where;
+          EXPECT_EQ(pass_stats.states_expanded, exact_stats.states_expanded)
+              << where;
+          EXPECT_EQ(pass_stats.dup_skipped, exact_stats.dup_skipped) << where;
+          EXPECT_EQ(pass_stats.dead_prunes, exact_stats.dead_prunes) << where;
+          EXPECT_EQ(pass_stats.table_bytes, exact_stats.table_bytes) << where;
+        }
+      }
+    }
+  }
+}
+
 // ---- through the registry ------------------------------------------------
 
 TEST(AnytimeSolver, RegisteredAndOptimalOnSmallInstancesWithCertificate) {
@@ -208,6 +265,31 @@ TEST(AnytimeSolver, StarvedRequestStillAnswersWithCertificate) {
     EXPECT_TRUE(certificate_holds(*result.certificate, result.cost));
   } else {
     EXPECT_EQ(result.stats.count("certified"), 1u);
+  }
+}
+
+/// A memory-budget stop names its cause the way exact-astar's does: with
+/// spilling off, the detail says so, and the limiting resource is memory.
+TEST(AnytimeSolver, MemoryBudgetDetailNamesTheSpillCause) {
+  const Dag dag =
+      instances::resolve_instance("layered:layers=3,width=4,indegree=2,seed=6")
+          .dag;
+  Engine engine(dag, Model::oneshot(), 3);
+  SolveRequest request;
+  request.engine = &engine;
+  request.budget.max_memory_bytes = 100'000;
+  request.options["incumbent"] = "none";
+  request.options["spill"] = "off";
+  for (const char* name : {"exact-astar", "anytime-astar"}) {
+    const SolveResult result = SolverRegistry::instance().at(name).run(request);
+    ASSERT_EQ(result.status, SolveStatus::BudgetExhausted) << name;
+    EXPECT_NE(result.detail.find("memory budget (100000 bytes) exhausted"),
+              std::string::npos)
+        << name << ": " << result.detail;
+    EXPECT_NE(result.detail.find("spilling to disk was disabled (spill=off)"),
+              std::string::npos)
+        << name << ": " << result.detail;
+    EXPECT_EQ(result.stats.at("limiting_resource"), "memory") << name;
   }
 }
 

@@ -15,6 +15,7 @@
 #include "src/graph/dag_builder.hpp"
 #include "src/instances/spec.hpp"
 #include "src/pebble/bounds.hpp"
+#include "src/pebble/trace_io.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/api.hpp"
 #include "src/solvers/exact.hpp"
@@ -104,10 +105,9 @@ TEST(HdaMatchesSequential, RepeatedRunsAreDeterministicInCost) {
 }
 
 TEST(HdaMatchesSequential, OneWorkerSharesTheSerialSuccessorOrder) {
-  // exact-astar probes, prices, then inserts; hda-astar prices, then
-  // inserts. Either way a closed table holds only live states under the
-  // incumbent, and every dead generation counts as one dead prune. At one
-  // worker the two searches must therefore agree on the expansions, the
+  // One hda-astar worker runs exact-astar's serial pass (probe, price,
+  // insert): a closed table of live states under the incumbent, one dead
+  // prune per dead generation. The two must agree on the expansions, the
   // dead prunes and the table's bytes — a loop that went back to inserting
   // before pricing would grow its table and drop dead prunes.
   for (const char* spec : {"pyramid:base=5", "tree:leaves=8"}) {
@@ -120,10 +120,15 @@ TEST(HdaMatchesSequential, OneWorkerSharesTheSerialSuccessorOrder) {
     ASSERT_TRUE(a.has_value()) << spec;
     ASSERT_TRUE(b.has_value()) << spec;
     EXPECT_EQ(a->cost, b->cost) << spec;
+    EXPECT_EQ(trace_to_text(a->trace), trace_to_text(b->trace)) << spec;
     EXPECT_EQ(serial.states_expanded, hda.states_expanded) << spec;
+    // The serial pass stops at its first completion; a token ring would
+    // drain the rest of the queue and count its stale pops.
+    EXPECT_EQ(serial.dup_skipped, hda.dup_skipped) << spec;
     EXPECT_EQ(serial.dead_prunes, hda.dead_prunes) << spec;
     EXPECT_GT(serial.dead_prunes, 0u) << spec;
     EXPECT_EQ(serial.table_bytes, hda.table_bytes) << spec;
+    EXPECT_EQ(hda.threads_used, 1u) << spec;
   }
 }
 
