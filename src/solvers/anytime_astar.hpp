@@ -53,6 +53,22 @@ struct AnytimeWeight {
   std::int64_t den = 1;
 };
 
+/// Largest pass weight accepted. A pass at weight w allocates ⌊w·ceiling⌋ + 1
+/// Dial buckets before its first expansion, so the cap bounds that to 16×
+/// an unweighted pass's queue (the default schedule tops out at 3).
+inline constexpr std::int64_t kMaxAnytimeWeight = 16;
+
+/// Numerators (and so denominators) must stay below 2^32: priorities are
+/// computed as h·num in int64, with h and the ceiling below 2^31.
+inline constexpr std::int64_t kMaxAnytimeWeightTerm = std::int64_t{1} << 32;
+
+/// True when 1 ≤ num/den ≤ kMaxAnytimeWeight and 0 < den ≤ num <
+/// kMaxAnytimeWeightTerm — the weights try_solve_anytime_astar accepts.
+constexpr bool valid_anytime_weight(const AnytimeWeight& w) {
+  return w.den > 0 && w.den <= w.num && w.num < kMaxAnytimeWeightTerm &&
+         w.num <= kMaxAnytimeWeight * w.den;
+}
+
 struct AnytimeOptions {
   /// The pass schedule, highest (greediest) weight first. The state budget
   /// is split evenly across passes; a drained pass proves optimality and
@@ -81,7 +97,9 @@ struct AnytimeResult {
 /// (`stats` then carries the lower bound the passes still proved). Shares
 /// ExactSearchOptions with the exact searches: seeds, PDBs, memory budgets,
 /// spill, and the forced-width testing hooks all apply. Node cap:
-/// kExactAstarMaxNodes (exact_astar.hpp), asserted inside.
+/// kExactAstarMaxNodes (exact_astar.hpp), asserted inside; every weight must
+/// pass valid_anytime_weight (PreconditionError otherwise, before any
+/// allocation).
 std::optional<AnytimeResult> try_solve_anytime_astar(
     const Engine& engine, const ExactSearchOptions& options,
     const AnytimeOptions& anytime = {}, ExactSearchStats* stats = nullptr);

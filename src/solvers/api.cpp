@@ -869,12 +869,13 @@ class HdaAstarSolver final : public ExactSearchSolver {
 };
 
 /// --opt weights=3,2,3/2,1 — the anytime pass schedule as comma-separated
-/// ratios ≥ 1, greediest first.
+/// ratios from 1 to kMaxAnytimeWeight, greediest first.
 std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
   auto bad = [&](std::string_view token) -> PreconditionError {
     return PreconditionError(
-        "option 'weights': expected comma-separated ratios >= 1 like "
-        "3,2,3/2,1; got token '" +
+        "option 'weights': expected comma-separated ratios from 1 to " +
+        std::to_string(kMaxAnytimeWeight) +
+        " (numerators below 2^32) like 3,2,3/2,1; got token '" +
         std::string(token) + "'");
   };
   auto parse_int = [&](std::string_view token,
@@ -902,7 +903,7 @@ std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
       w.num = parse_int(token, token.substr(0, slash));
       w.den = parse_int(token, token.substr(slash + 1));
     }
-    if (w.num < w.den) throw bad(token);
+    if (!valid_anytime_weight(w)) throw bad(token);
     weights.push_back(w);
     if (comma == std::string_view::npos) break;
     pos = comma + 1;

@@ -1,13 +1,18 @@
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <functional>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <span>
 
 #include "src/graph/dag_algorithms.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
-#include "src/solvers/bucket_queue.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -116,26 +121,245 @@ std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
 namespace {
 
 /// 3-bit field of position `i` inside a packed projection index.
-inline unsigned field_at(std::size_t index, std::size_t i) {
+inline unsigned field_at(std::uint64_t index, std::size_t i) {
   return static_cast<unsigned>((index >> (3 * i)) & 7u);
 }
 
-inline std::size_t with_field(std::size_t index, std::size_t i, unsigned f) {
+inline std::uint64_t with_field(std::uint64_t index, std::size_t i,
+                                unsigned f) {
   const std::size_t shift = 3 * i;
-  return (index & ~(std::size_t{7} << shift)) |
-         (static_cast<std::size_t>(f) << shift);
+  return (index & ~(std::uint64_t{7} << shift)) |
+         (static_cast<std::uint64_t>(f) << shift);
 }
 
-/// Colors are 2 bits; 3 never occurs in a real projection. Indices holding
-/// it are skipped outright.
-inline bool valid_index(std::size_t index, std::size_t p) {
+constexpr unsigned kNone = static_cast<unsigned>(PebbleColor::None);
+constexpr unsigned kRed = static_cast<unsigned>(PebbleColor::Red);
+constexpr unsigned kBlue = static_cast<unsigned>(PebbleColor::Blue);
+
+/// Reorders a flat pattern's nodes canonically: among the orders that are
+/// topological inside the pattern, the one whose per-position signature —
+/// (source, sink) flags and the mask of in-pattern predecessor positions,
+/// all earlier — is lexicographically smallest. The sequence records every
+/// in-pattern edge at its head, so isomorphic patterns (equal up to
+/// relabelling) land on equal sequences. A permutation is abandoned at the
+/// first position that breaks topological order or exceeds the best
+/// sequence, skipping every other permutation with that prefix. Sharing is
+/// decided by the exact signature (AbstractGame::key), so this order only
+/// has to be good, not right.
+void canonicalize(std::vector<NodeId>& nodes, const Dag& dag,
+                  bool sources_matter) {
+  constexpr std::size_t kMax = PatternDatabase::kMaxPatternSize;
+  const std::size_t p = nodes.size();
+  std::array<unsigned, kMax> flags{};
+  std::array<unsigned, kMax> preds{};  ///< bit j: nodes[j] is a predecessor
   for (std::size_t i = 0; i < p; ++i) {
-    if ((field_at(index, i) & 3u) == 3u) return false;
+    flags[i] = (dag.is_sink(nodes[i]) ? 1u : 0u) |
+               (sources_matter && dag.is_source(nodes[i]) ? 2u : 0u);
+    for (NodeId u : dag.predecessors(nodes[i])) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (nodes[j] == u) preds[i] |= 1u << j;
+      }
+    }
   }
-  return true;
+  std::array<std::uint8_t, kMax> perm{};
+  std::array<std::uint8_t, kMax> position{};
+  std::iota(perm.begin(), perm.begin() + p, std::uint8_t{0});
+  std::array<std::uint8_t, kMax> best_perm = perm;
+  std::array<unsigned, kMax> best;
+  best.fill(~0u);  // above every signature: the first complete order wins
+  std::array<unsigned, kMax> signature{};
+  do {
+    bool smaller = false;
+    unsigned placed = 0;
+    std::size_t k = 0;
+    for (; k < p; ++k) {
+      const unsigned v = perm[k];
+      if ((preds[v] & ~placed) != 0) break;  // not topological
+      unsigned mask = 0;
+      for (unsigned m = preds[v]; m != 0; m &= m - 1) {
+        mask |= 1u << position[std::countr_zero(m)];
+      }
+      signature[k] = (flags[v] << kMax) | mask;
+      if (!smaller) {
+        if (signature[k] > best[k]) break;
+        smaller = signature[k] < best[k];
+      }
+      position[v] = static_cast<std::uint8_t>(k);
+      placed |= 1u << v;
+    }
+    if (k < p) {
+      // Every permutation sharing perm[0..k] fails at k too: jump to the
+      // last of them, so next_permutation moves on to the next prefix.
+      std::sort(perm.begin() + k + 1, perm.begin() + p, std::greater<>());
+      continue;
+    }
+    if (smaller) {
+      best = signature;
+      best_perm = perm;
+    }
+  } while (std::next_permutation(perm.begin(), perm.begin() + p));
+  const std::vector<NodeId> original = nodes;
+  for (std::size_t k = 0; k < p; ++k) nodes[k] = original[best_perm[k]];
 }
 
 }  // namespace
+
+/// The abstract game of one pattern: every constraint of Engine::why_illegal
+/// that only mentions the pattern's nodes, as word operations on packed
+/// projection indices (field i at bits 3i..3i+2). A concrete-legal move on a
+/// pattern node is always abstract-legal on the projection, which is what
+/// makes the tables admissible.
+struct PatternDatabase::AbstractGame {
+  std::size_t width = 0;
+  std::int64_t red_limit = 0;
+  std::int64_t eps_num = 0;
+  std::int64_t eps_den = 0;
+  bool allows_recompute = true;
+  bool allows_delete = true;
+  bool sinks_end_blue = false;
+  std::uint64_t low_bits = 0;     ///< bit 3i of every position i
+  std::uint64_t source_bits = 0;  ///< Hong–Kung sources (never computable)
+  std::uint64_t sink_bits = 0;    ///< DAG sinks
+  /// Per position: bit 3j for each in-pattern direct predecessor j.
+  std::vector<std::uint64_t> pred_bits;
+
+  AbstractGame(const Engine& engine, const std::vector<NodeId>& nodes)
+      : width(nodes.size()),
+        red_limit(static_cast<std::int64_t>(engine.red_limit())),
+        eps_num(engine.model().epsilon().num()),
+        eps_den(engine.model().epsilon().den()),
+        allows_recompute(engine.model().allows_recompute()),
+        allows_delete(engine.model().allows_delete()),
+        sinks_end_blue(engine.convention().sinks_end_blue),
+        pred_bits(nodes.size(), 0) {
+    const Dag& dag = engine.dag();
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::uint64_t bit = std::uint64_t{1} << (3 * i);
+      low_bits |= bit;
+      if (engine.convention().sources_start_blue && dag.is_source(nodes[i])) {
+        source_bits |= bit;
+      }
+      if (dag.is_sink(nodes[i])) sink_bits |= bit;
+      for (NodeId u : dag.predecessors(nodes[i])) {
+        for (std::size_t j = 0; j < width; ++j) {
+          if (nodes[j] == u) pred_bits[i] |= std::uint64_t{1} << (3 * j);
+        }
+      }
+    }
+  }
+
+  /// Everything the game reads of the pattern; equal keys (under one
+  /// build's shared rules) mean byte-identical tables.
+  std::vector<std::uint64_t> key() const {
+    std::vector<std::uint64_t> k{width, source_bits, sink_bits};
+    k.insert(k.end(), pred_bits.begin(), pred_bits.end());
+    return k;
+  }
+
+  /// Red positions of `index`: color 01 at each field's low bit.
+  std::uint64_t red_bits(std::uint64_t index) const {
+    return index & ~(index >> 1) & low_bits;
+  }
+
+  bool room(std::uint64_t index) const {
+    return std::popcount(red_bits(index)) < red_limit;
+  }
+
+  bool legal(std::uint64_t index, std::size_t i, MoveType type) const {
+    const unsigned f = field_at(index, i);
+    const unsigned color = f & 3u;
+    switch (type) {
+      case MoveType::Load:
+        return color == kBlue && room(index);
+      case MoveType::Store:
+        return color == kRed;
+      case MoveType::Compute:
+        if ((source_bits >> (3 * i)) & 1u) return false;
+        if (!allows_recompute && (f & 4u) != 0) return false;
+        if (color == kRed) return false;
+        if ((pred_bits[i] & ~red_bits(index)) != 0) return false;
+        return room(index);
+      case MoveType::Delete:
+        return allows_delete && color != kNone;
+    }
+    return false;
+  }
+
+  /// relax(pre, cost) for every legal move pre → index, positions in
+  /// ascending order (the hashed build's truncation point depends on it).
+  template <class Relax>
+  void for_each_preimage(std::uint64_t index, Relax&& relax) const {
+    auto offer = [&](std::uint64_t pre, std::size_t i, MoveType type,
+                     std::int64_t cost) {
+      if (legal(pre, i, type)) relax(pre, cost);
+    };
+    for (std::size_t i = 0; i < width; ++i) {
+      const unsigned f = field_at(index, i);
+      const unsigned computed = f & 4u;
+      switch (f & 3u) {
+        case kRed:
+          // Load lands on Red from Blue, computed untouched.
+          offer(with_field(index, i, kBlue | computed), i, MoveType::Load,
+                eps_den);
+          if (computed != 0) {
+            // Compute lands on Red+computed from None or Blue, either prior
+            // computed flag (legal() enforces the oneshot rule).
+            for (unsigned prior_color : {kNone, kBlue}) {
+              for (unsigned prior_computed : {0u, 4u}) {
+                offer(with_field(index, i, prior_color | prior_computed), i,
+                      MoveType::Compute, eps_num);
+              }
+            }
+          }
+          break;
+        case kBlue:
+          offer(with_field(index, i, kRed | computed), i, MoveType::Store,
+                eps_den);
+          break;
+        case kNone:
+          for (unsigned prior_color : {kRed, kBlue}) {
+            offer(with_field(index, i, prior_color | computed), i,
+                  MoveType::Delete, 0);
+          }
+          break;
+      }
+    }
+  }
+
+  /// seed(index) for every goal projection — each position walks its valid
+  /// fields (6 per non-sink, the sink-constrained subset otherwise), never
+  /// the 8^width dense indices — position 0 fastest. Stops early, returning
+  /// false, when seed does.
+  template <class Seed>
+  bool for_each_goal(Seed&& seed) const {
+    static constexpr unsigned kAny[] = {kNone, kNone | 4u, kRed,
+                                        kRed | 4u, kBlue, kBlue | 4u};
+    static constexpr unsigned kStored[] = {kRed, kRed | 4u, kBlue, kBlue | 4u};
+    static constexpr unsigned kBlueOnly[] = {kBlue, kBlue | 4u};
+    std::vector<std::span<const unsigned>> choices(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      if (((sink_bits >> (3 * i)) & 1u) == 0) {
+        choices[i] = kAny;
+      } else if (sinks_end_blue) {
+        choices[i] = kBlueOnly;
+      } else {
+        choices[i] = kStored;
+      }
+    }
+    std::vector<std::size_t> counter(width, 0);
+    for (;;) {
+      std::uint64_t index = 0;
+      for (std::size_t i = 0; i < width; ++i) {
+        index |= static_cast<std::uint64_t>(choices[i][counter[i]]) << (3 * i);
+      }
+      if (!seed(index)) return false;
+      // Odometer step.
+      std::size_t i = 0;
+      while (i < width && ++counter[i] == choices[i].size()) counter[i++] = 0;
+      if (i == width) return true;
+    }
+  }
+};
 
 bool PatternDatabase::HashedTable::grow(std::size_t* total_bytes,
                                         std::size_t byte_budget) {
@@ -202,33 +426,35 @@ PatternDatabase::PatternDatabase(const Engine& engine,
       table_byte_budget == 0 ? kDefaultHashedTableBytes : table_byte_budget;
   const obs::TraceSpan build_span("pdb.build", "patterns", node_sets.size());
   patterns_.resize(node_sets.size());
-  for (std::size_t p = 0; p < node_sets.size(); ++p) {
-    if (aborted_) break;
-    const obs::TraceSpan pattern_span("pdb.pattern", "width",
-                                      node_sets[p].size());
+  // Exact game signature → its flat table; a table enters only once built.
+  std::map<std::vector<std::uint64_t>, const std::int32_t*> table_of_shape;
+  BucketQueue<std::uint32_t> flat_queue(static_cast<std::size_t>(cost_cap) + 1);
+  for (std::size_t p = 0; p < node_sets.size() && !aborted_; ++p) {
     Pattern& pattern = patterns_[p];
     pattern.nodes = std::move(node_sets[p]);
     const std::size_t width = pattern.nodes.size();
-    pattern.pred_positions.resize(width);
-    pattern.is_source.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      const NodeId v = pattern.nodes[i];
-      pattern.is_source[i] = dag.is_source(v);
-      if (dag.is_sink(v)) pattern.sink_positions.push_back(i);
-      for (NodeId u : dag.predecessors(v)) {
-        for (std::size_t j = 0; j < width; ++j) {
-          if (pattern.nodes[j] == u) pattern.pred_positions[i].push_back(j);
-        }
-      }
-    }
     if (width > kMaxPatternSize || force_hashed) {
-      pattern.hashed = true;
-      build_pattern_hashed(engine, pattern, cost_cap, should_stop,
-                           byte_budget);
-    } else {
-      build_pattern(engine, pattern, cost_cap, should_stop);
-      table_bytes_ += pattern.completion.size() * sizeof(std::int32_t);
+      const obs::TraceSpan pattern_span("pdb.pattern", "width", width);
+      build_pattern_hashed(AbstractGame(engine, pattern.nodes), pattern,
+                           cost_cap, should_stop, byte_budget);
+      continue;
     }
+    canonicalize(pattern.nodes, dag, engine.convention().sources_start_blue);
+    const AbstractGame game(engine, pattern.nodes);
+    std::vector<std::uint64_t> key = game.key();
+    if (const auto it = table_of_shape.find(key); it != table_of_shape.end()) {
+      pattern.completion = it->second;
+      continue;
+    }
+    const obs::TraceSpan pattern_span("pdb.pattern", "width", width);
+    std::vector<std::int32_t>& table = flat_tables_.emplace_back();
+    if (!build_flat(game, table, flat_queue, cost_cap, should_stop)) {
+      aborted_ = true;
+      break;
+    }
+    table_bytes_ += table.size() * sizeof(std::int32_t);
+    pattern.completion = table.data();
+    table_of_shape.emplace(std::move(key), table.data());
   }
   table_bytes_ += hashed_bytes_;
   auto& registry = obs::MetricsRegistry::instance();
@@ -236,209 +462,63 @@ PatternDatabase::PatternDatabase(const Engine& engine,
   registry.gauge("pdb.table_bytes").set(static_cast<std::int64_t>(table_bytes_));
 }
 
-void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
-                                    std::int64_t cost_cap,
-                                    const StopPredicate& should_stop) {
-  const Model& model = engine.model();
-  const PebblingConvention& conv = engine.convention();
-  const std::size_t p = pattern.nodes.size();
-  const std::size_t table_size = std::size_t{1} << (3 * p);
-  const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
-  const std::int64_t eps_num = model.epsilon().num();
-  const std::int64_t eps_den = model.epsilon().den();
+// The goal sweeps and the Dijkstras are the only unbounded loops in a PDB
+// build; all poll the cooperative stop hook so a cancelled solve is never
+// pinned behind an 8^8-entry table (the searches' poll cadence, scaled up —
+// these iterations are far cheaper than an expansion).
+constexpr std::size_t kStopPollMask = 0xFFFu;
 
-  auto red_in_pattern = [&](std::size_t index) {
-    std::int64_t red = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if ((field_at(index, i) & 3u) ==
-          static_cast<unsigned>(PebbleColor::Red)) {
-        ++red;
-      }
-    }
-    return red;
+bool PatternDatabase::build_flat(const AbstractGame& game,
+                                 std::vector<std::int32_t>& table,
+                                 BucketQueue<std::uint32_t>& queue,
+                                 std::int64_t cost_cap,
+                                 const StopPredicate& should_stop) {
+  std::size_t polls = 0;
+  auto stop = [&] {
+    return (polls++ & kStopPollMask) == 0 && should_stop && should_stop();
   };
-
-  // Forward legality of a move on position `i` in abstract state `index`:
-  // every constraint of Engine::why_illegal that only mentions nodes of the
-  // pattern. A concrete-legal move on the node is always abstract-legal on
-  // the projection, which is what makes the table admissible.
-  auto legal = [&](std::size_t index, std::size_t i, MoveType type) {
-    const unsigned f = field_at(index, i);
-    const auto color = static_cast<PebbleColor>(f & 3u);
-    switch (type) {
-      case MoveType::Load:
-        return color == PebbleColor::Blue && red_in_pattern(index) < r;
-      case MoveType::Store:
-        return color == PebbleColor::Red;
-      case MoveType::Compute: {
-        if (conv.sources_start_blue && pattern.is_source[i]) return false;
-        if (!model.allows_recompute() && (f & 4u) != 0) return false;
-        if (color == PebbleColor::Red) return false;
-        for (std::size_t j : pattern.pred_positions[i]) {
-          if ((field_at(index, j) & 3u) !=
-              static_cast<unsigned>(PebbleColor::Red)) {
-            return false;
-          }
-        }
-        return red_in_pattern(index) < r;
-      }
-      case MoveType::Delete:
-        return model.allows_delete() && color != PebbleColor::None;
-    }
-    return false;
-  };
-
-  auto is_goal = [&](std::size_t index) {
-    for (std::size_t i : pattern.sink_positions) {
-      const auto color = static_cast<PebbleColor>(field_at(index, i) & 3u);
-      if (conv.sinks_end_blue ? color != PebbleColor::Blue
-                              : color == PebbleColor::None) {
-        return false;
-      }
-    }
-    return true;
-  };
-
   // Backward Dijkstra from every complete projection over move pre-images.
   // Distances clamp at cost_cap (an underestimate, so still admissible —
   // and never reached in practice: cost_cap is the Section 3 universal
   // ceiling for the whole DAG).
-  pattern.completion.assign(table_size, kUnreachable);
-  BucketQueue<std::uint32_t> queue(static_cast<std::size_t>(cost_cap) + 1);
-  // The goal sweep and the Dijkstra below are the only unbounded loops in a
-  // PDB build; both poll the cooperative stop hook so a cancelled solve is
-  // never pinned behind an 8^8-entry table (the searches' poll cadence,
-  // scaled up — these iterations are far cheaper than an expansion).
-  constexpr std::size_t kStopPollMask = 0xFFFu;
-  for (std::size_t index = 0; index < table_size; ++index) {
-    if ((index & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
-    }
-    if (!valid_index(index, p)) continue;
-    if (is_goal(index)) {
-      pattern.completion[index] = 0;
-      queue.push(0, static_cast<std::uint32_t>(index));
-    }
-  }
+  table.assign(std::size_t{1} << (3 * game.width), kUnreachable);
+  const bool seeded = game.for_each_goal([&](std::uint64_t index) {
+    if (stop()) return false;
+    table[index] = 0;
+    queue.push(0, static_cast<std::uint32_t>(index));
+    return true;
+  });
+  if (!seeded) return false;
 
-  auto relax = [&](std::size_t pre, MoveType type, std::size_t i,
-                   std::int64_t d, std::int64_t cost) {
-    if (!legal(pre, i, type)) return;
-    const std::int64_t nd = std::min(d + cost, cost_cap);
-    std::int32_t& entry = pattern.completion[pre];
-    if (entry != kUnreachable && entry <= nd) return;
-    entry = static_cast<std::int32_t>(nd);
-    queue.push(nd, static_cast<std::uint32_t>(pre));
-  };
-
-  std::size_t pops = 0;
+  polls = 0;
   while (!queue.empty()) {
-    if ((pops++ & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
-    }
-    auto [d, popped] = queue.pop();
-    const auto index = static_cast<std::size_t>(popped);
-    if (pattern.completion[index] != d) continue;  // stale duplicate
-    for (std::size_t i = 0; i < p; ++i) {
-      const unsigned f = field_at(index, i);
-      const unsigned computed = f & 4u;
-      switch (static_cast<PebbleColor>(f & 3u)) {
-        case PebbleColor::Red:
-          // Load lands on Red from Blue, computed untouched.
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Blue) | computed),
-                MoveType::Load, i, d, eps_den);
-          if (computed != 0) {
-            // Compute lands on Red+computed from None or Blue, either prior
-            // computed flag (legal() enforces the oneshot rule).
-            for (unsigned prior_color :
-                 {static_cast<unsigned>(PebbleColor::None),
-                  static_cast<unsigned>(PebbleColor::Blue)}) {
-              for (unsigned prior_computed : {0u, 4u}) {
-                relax(with_field(index, i, prior_color | prior_computed),
-                      MoveType::Compute, i, d, eps_num);
-              }
-            }
-          }
-          break;
-        case PebbleColor::Blue:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Red) | computed),
-                MoveType::Store, i, d, eps_den);
-          break;
-        case PebbleColor::None:
-          for (unsigned prior_color :
-               {static_cast<unsigned>(PebbleColor::Red),
-                static_cast<unsigned>(PebbleColor::Blue)}) {
-            relax(with_field(index, i, prior_color | computed),
-                  MoveType::Delete, i, d, 0);
-          }
-          break;
-      }
-    }
+    if (stop()) return false;
+    const auto [d, index] = queue.pop();
+    if (table[index] != d) continue;  // stale duplicate
+    game.for_each_preimage(index, [&](std::uint64_t pre, std::int64_t cost) {
+      const std::int64_t nd = std::min(d + cost, cost_cap);
+      std::int32_t& entry = table[pre];
+      if (entry != kUnreachable && entry <= nd) return;
+      entry = static_cast<std::int32_t>(nd);
+      queue.push(nd, static_cast<std::uint32_t>(pre));
+    });
   }
+  return true;
 }
 
-void PatternDatabase::build_pattern_hashed(const Engine& engine,
+void PatternDatabase::build_pattern_hashed(const AbstractGame& game,
                                            Pattern& pattern,
                                            std::int64_t cost_cap,
                                            const StopPredicate& should_stop,
                                            std::size_t byte_budget) {
-  const Model& model = engine.model();
-  const PebblingConvention& conv = engine.convention();
-  const std::size_t p = pattern.nodes.size();
-  const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
-  const std::int64_t eps_num = model.epsilon().num();
-  const std::int64_t eps_den = model.epsilon().den();
-
   // A sink-free pattern's abstract game requires nothing: every valid
   // projection is a goal at distance 0, exactly what the flat table holds
   // for such patterns. Serve the constant instead of materializing it.
-  if (pattern.sink_positions.empty()) {
+  if (game.sink_bits == 0) {
     pattern.complete = false;
     pattern.floor = 0;
     return;
   }
-
-  auto red_in_pattern = [&](std::size_t index) {
-    std::int64_t red = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if ((field_at(index, i) & 3u) ==
-          static_cast<unsigned>(PebbleColor::Red)) {
-        ++red;
-      }
-    }
-    return red;
-  };
-
-  // Identical abstract legality to the flat builder (see build_pattern).
-  auto legal = [&](std::size_t index, std::size_t i, MoveType type) {
-    const unsigned f = field_at(index, i);
-    const auto color = static_cast<PebbleColor>(f & 3u);
-    switch (type) {
-      case MoveType::Load:
-        return color == PebbleColor::Blue && red_in_pattern(index) < r;
-      case MoveType::Store:
-        return color == PebbleColor::Red;
-      case MoveType::Compute: {
-        if (conv.sources_start_blue && pattern.is_source[i]) return false;
-        if (!model.allows_recompute() && (f & 4u) != 0) return false;
-        if (color == PebbleColor::Red) return false;
-        for (std::size_t j : pattern.pred_positions[i]) {
-          if ((field_at(index, j) & 3u) !=
-              static_cast<unsigned>(PebbleColor::Red)) {
-            return false;
-          }
-        }
-        return red_in_pattern(index) < r;
-      }
-      case MoveType::Delete:
-        return model.allows_delete() && color != PebbleColor::None;
-    }
-    return false;
-  };
 
   // Truncation state: once the byte budget refuses an insert, the build
   // stops immediately. Everything settled so far is exact; every other
@@ -449,116 +529,51 @@ void PatternDatabase::build_pattern_hashed(const Engine& engine,
   std::int64_t floor_d = 0;
 
   BucketQueue<std::uint64_t> queue(static_cast<std::size_t>(cost_cap) + 1);
-  constexpr std::size_t kStopPollMask = 0xFFFu;
-
-  // Goal seeding by constructive enumeration: walk the product of each
-  // position's valid fields (6 per free position, the sink-constrained
-  // subset otherwise) instead of sweeping all 8^p dense indices.
-  std::vector<std::vector<unsigned>> choices(p);
-  std::vector<bool> is_sink_pos(p, false);
-  for (std::size_t i : pattern.sink_positions) is_sink_pos[i] = true;
-  for (std::size_t i = 0; i < p; ++i) {
-    constexpr unsigned kRed = static_cast<unsigned>(PebbleColor::Red);
-    constexpr unsigned kBlue = static_cast<unsigned>(PebbleColor::Blue);
-    constexpr unsigned kNone = static_cast<unsigned>(PebbleColor::None);
-    if (is_sink_pos[i]) {
-      choices[i] = conv.sinks_end_blue
-                       ? std::vector<unsigned>{kBlue, kBlue | 4u}
-                       : std::vector<unsigned>{kRed, kRed | 4u, kBlue,
-                                               kBlue | 4u};
-    } else {
-      choices[i] = {kNone, kNone | 4u, kRed, kRed | 4u, kBlue, kBlue | 4u};
-    }
-  }
-  std::vector<std::size_t> counter(p, 0);
-  std::size_t seeded = 0;
-  for (;;) {
-    if ((seeded++ & kStopPollMask) == 0 && should_stop && should_stop()) {
+  std::size_t polls = 0;
+  game.for_each_goal([&](std::uint64_t index) {
+    if ((polls++ & kStopPollMask) == 0 && should_stop && should_stop()) {
       aborted_ = true;
-      return;
-    }
-    std::size_t index = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      index |= static_cast<std::size_t>(choices[i][counter[i]]) << (3 * i);
+      return false;
     }
     HashedTable::Slot* slot =
         pattern.table.find_or_insert(index, &hashed_bytes_, byte_budget);
     if (slot == nullptr) {
       truncated = true;
       floor_d = 0;
-      break;
+      return false;
     }
     slot->dist = 0;
-    queue.push(0, static_cast<std::uint64_t>(index));
-    // Odometer step.
-    std::size_t i = 0;
-    while (i < p && ++counter[i] == choices[i].size()) counter[i++] = 0;
-    if (i == p) break;
-  }
+    queue.push(0, index);
+    return true;
+  });
+  if (aborted_) return;
 
-  auto relax = [&](std::size_t pre, MoveType type, std::size_t i,
-                   std::int64_t d, std::int64_t cost) {
-    if (truncated || !legal(pre, i, type)) return;
-    const std::int64_t nd = std::min(d + cost, cost_cap);
-    HashedTable::Slot* slot =
-        pattern.table.find_or_insert(pre, &hashed_bytes_, byte_budget);
-    if (slot == nullptr) {
-      truncated = true;
-      floor_d = std::min(d, cost_cap);
-      return;
-    }
-    if (slot->settled) return;  // final already; Dijkstra never improves it
-    if (slot->dist != kUnreachable && slot->dist <= nd) return;
-    slot->dist = static_cast<std::int32_t>(nd);
-    queue.push(nd, static_cast<std::uint64_t>(pre));
-  };
-
-  std::size_t pops = 0;
+  polls = 0;
   while (!queue.empty() && !truncated) {
-    if ((pops++ & kStopPollMask) == 0 && should_stop && should_stop()) {
+    if ((polls++ & kStopPollMask) == 0 && should_stop && should_stop()) {
       aborted_ = true;
       return;
     }
-    auto [d, popped] = queue.pop();
-    const auto index = static_cast<std::size_t>(popped);
+    const auto [d, index] = queue.pop();
     HashedTable::Slot* slot = pattern.table.find(index);
     RBPEB_ENSURE(slot != nullptr, "popped abstract state must be tabled");
     if (slot->dist != d) continue;  // stale duplicate
     slot->settled = true;
-    for (std::size_t i = 0; i < p; ++i) {
-      const unsigned f = field_at(index, i);
-      const unsigned computed = f & 4u;
-      switch (static_cast<PebbleColor>(f & 3u)) {
-        case PebbleColor::Red:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Blue) | computed),
-                MoveType::Load, i, d, eps_den);
-          if (computed != 0) {
-            for (unsigned prior_color :
-                 {static_cast<unsigned>(PebbleColor::None),
-                  static_cast<unsigned>(PebbleColor::Blue)}) {
-              for (unsigned prior_computed : {0u, 4u}) {
-                relax(with_field(index, i, prior_color | prior_computed),
-                      MoveType::Compute, i, d, eps_num);
-              }
-            }
-          }
-          break;
-        case PebbleColor::Blue:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Red) | computed),
-                MoveType::Store, i, d, eps_den);
-          break;
-        case PebbleColor::None:
-          for (unsigned prior_color :
-               {static_cast<unsigned>(PebbleColor::Red),
-                static_cast<unsigned>(PebbleColor::Blue)}) {
-            relax(with_field(index, i, prior_color | computed),
-                  MoveType::Delete, i, d, 0);
-          }
-          break;
+    game.for_each_preimage(index, [&](std::uint64_t pre, std::int64_t cost) {
+      if (truncated) return;
+      const std::int64_t nd = std::min(d + cost, cost_cap);
+      HashedTable::Slot* pre_slot =
+          pattern.table.find_or_insert(pre, &hashed_bytes_, byte_budget);
+      if (pre_slot == nullptr) {
+        truncated = true;
+        floor_d = std::min(d, cost_cap);
+        return;
       }
-    }
+      if (pre_slot->settled) return;  // final already; Dijkstra never improves it
+      if (pre_slot->dist != kUnreachable && pre_slot->dist <= nd) return;
+      pre_slot->dist = static_cast<std::int32_t>(nd);
+      queue.push(nd, pre);
+    });
   }
   if (truncated) {
     pattern.complete = false;

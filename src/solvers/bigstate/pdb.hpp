@@ -22,8 +22,24 @@
 //    legal abstract completion of the projected state with exactly the cost
 //    those moves contribute.
 //  * A backward Dijkstra from all complete abstract states (the shared Dial
-//    BucketQueue over pre-images) fills one flat 8^|P| table per pattern
-//    with the optimal abstract completion cost of every projection.
+//    BucketQueue over pre-images) fills a flat 8^|P| table with the optimal
+//    abstract completion cost of every projection. The goals are
+//    enumerated directly (at most 6^|P| valid projections; color 3 never
+//    occurs), and legality is word arithmetic on the packed index: the red
+//    positions are `index & ~(index >> 1)` at each field's low bit, so
+//    |red ∩ P| is a popcount and Compute's inputs are a mask test.
+//  * Flat patterns share tables by shape. The abstract game reads nothing
+//    of P but its width and, per position, the sink flag, the source flag
+//    (Hong–Kung sources only) and the in-pattern predecessor mask — plus
+//    the model, convention, R and cost cap every pattern of one build
+//    shares. Each flat pattern's nodes are put into a canonical order (of
+//    the in-pattern topological orders, the one with the lexicographically
+//    smallest per-position signature, searched over permutations with
+//    prefix pruning — far cheaper than one build even at 8 nodes), and
+//    patterns whose exact signatures agree read one table, built once.
+//    Equal signatures mean identical games, so sharing never changes a
+//    bound; the canonical order only decides how often relabelled copies
+//    meet.
 //
 // Each concrete move is charged to exactly one pattern (moves touch one
 // node; patterns are disjoint), so the per-pattern optimal completion costs
@@ -42,6 +58,7 @@
 #include <vector>
 
 #include "src/pebble/engine.hpp"
+#include "src/solvers/bucket_queue.hpp"
 #include "src/solvers/exact.hpp"
 
 namespace rbpeb {
@@ -86,15 +103,18 @@ class PatternDatabase {
       std::size_t{256} << 20;
 
   /// Build the database for `engine`'s instance: partition, then solve each
-  /// abstract configuration graph exactly. `max_pattern_size` of 0 means
-  /// kDefaultPatternSize; widths past kMaxPatternSize build hashed tables.
-  /// Read-only (and thread-safe) afterwards.
+  /// distinct abstract configuration graph exactly. `max_pattern_size` of 0
+  /// means kDefaultPatternSize; widths past kMaxPatternSize build hashed
+  /// tables, one per pattern (their truncation depends on the order the
+  /// byte budget is spent in, so they are never shared). Read-only (and
+  /// thread-safe) afterwards.
   ///
   /// `should_stop` is the same cooperative hook the searches poll: an 8-node
   /// pattern builds a 16.7M-entry table, long enough that an un-interruptible
   /// build would pin a cancelled or past-deadline solve to a core. When it
   /// fires mid-build the constructor returns early with build_aborted() set;
-  /// the tables are then incomplete and must not be consulted.
+  /// the tables are then incomplete and must not be consulted (a flat table
+  /// is shared only once its build has finished).
   ///
   /// `table_byte_budget` caps the hashed tables' total footprint (0 =
   /// kDefaultHashedTableBytes; rehash transients — old plus new slot arrays
@@ -115,6 +135,13 @@ class PatternDatabase {
                            std::size_t table_byte_budget = 0,
                            bool force_hashed = false);
 
+  /// Patterns point into flat_tables_: a move keeps the tables' buffers,
+  /// and so those pointers, valid; a copy would not.
+  PatternDatabase(const PatternDatabase&) = delete;
+  PatternDatabase& operator=(const PatternDatabase&) = delete;
+  PatternDatabase(PatternDatabase&&) = default;
+  PatternDatabase& operator=(PatternDatabase&&) = default;
+
   /// True when should_stop ended the build early — the caller must discard
   /// the database and terminate with ExactTermination::Stopped.
   bool build_aborted() const { return aborted_; }
@@ -125,14 +152,15 @@ class PatternDatabase {
     return patterns_[p].nodes;
   }
 
-  /// Total bytes held by the completion tables.
+  /// Total bytes held by the completion tables: each shared flat table
+  /// counts once, however many patterns read it.
   std::size_t table_bytes() const { return table_bytes_; }
 
   /// The additive heuristic in scaled units of 1/ε.den(): the sum over
   /// patterns of the optimal abstract completion cost of the state's
-  /// projection. `field(v)` must return the node's 3-bit configuration
-  /// field (color | computed << 2). nullopt when some projection is
-  /// unreachable — the state is provably dead.
+  /// projection (packed in pattern_nodes order). `field(v)` must return the
+  /// node's 3-bit configuration field (color | computed << 2). nullopt when
+  /// some projection is unreachable — the state is provably dead.
   template <class FieldFn>
   std::optional<std::int64_t> sum_scaled(FieldFn&& field) const {
     std::int64_t total = 0;
@@ -142,7 +170,7 @@ class PatternDatabase {
         index |= static_cast<std::size_t>(field(pattern.nodes[i]) & 7u)
                  << (3 * i);
       }
-      if (!pattern.hashed) {
+      if (pattern.completion != nullptr) {
         const std::int32_t d = pattern.completion[index];
         if (d == kUnreachable) return std::nullopt;
         total += d;
@@ -240,17 +268,14 @@ class PatternDatabase {
   };
 
   struct Pattern {
+    /// Flat patterns: the canonical order their shared table is indexed in.
+    /// Hashed patterns: the partitioner's order.
     std::vector<NodeId> nodes;
-    /// Per position: which earlier/later positions are direct predecessors
-    /// of this node inside the pattern.
-    std::vector<std::vector<std::size_t>> pred_positions;
-    std::vector<bool> is_source;  ///< in the whole DAG, per position
-    std::vector<std::size_t> sink_positions;  ///< DAG sinks inside P
-    /// Optimal abstract completion cost per 3-bit-packed projection index,
-    /// kUnreachable where no completion exists. Empty for hashed patterns.
-    std::vector<std::int32_t> completion;
-    /// Wide patterns: sparse table instead of the dense array.
-    bool hashed = false;
+    /// Flat patterns: the shared table of optimal abstract completion costs
+    /// per 3-bit-packed projection index, kUnreachable where no completion
+    /// exists (an entry of flat_tables_). Null for hashed patterns.
+    const std::int32_t* completion = nullptr;
+    /// Hashed patterns: sparse table instead of the dense array.
     HashedTable table;
     /// True when the backward Dijkstra drained — absent entries are then
     /// provably unreachable (dead). False after a budget truncation.
@@ -261,14 +286,25 @@ class PatternDatabase {
     std::int32_t floor = 0;
   };
 
-  void build_pattern(const Engine& engine, Pattern& pattern,
-                     std::int64_t cost_cap, const StopPredicate& should_stop);
-  void build_pattern_hashed(const Engine& engine, Pattern& pattern,
+  /// One pattern's abstract game: the shared rules plus the pattern's shape
+  /// as masks over packed projection indices (defined in pdb.cpp).
+  struct AbstractGame;
+
+  /// Fills `table` (8^width entries) for `game`; false when should_stop
+  /// fired first.
+  static bool build_flat(const AbstractGame& game,
+                         std::vector<std::int32_t>& table,
+                         BucketQueue<std::uint32_t>& queue,
+                         std::int64_t cost_cap,
+                         const StopPredicate& should_stop);
+  void build_pattern_hashed(const AbstractGame& game, Pattern& pattern,
                             std::int64_t cost_cap,
                             const StopPredicate& should_stop,
                             std::size_t byte_budget);
 
   std::vector<Pattern> patterns_;
+  /// The distinct flat tables, one per pattern shape.
+  std::vector<std::vector<std::int32_t>> flat_tables_;
   std::size_t table_bytes_ = 0;
   std::size_t hashed_bytes_ = 0;  ///< hashed share of table_bytes_
   bool aborted_ = false;

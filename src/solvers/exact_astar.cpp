@@ -416,8 +416,10 @@ std::optional<AnytimeResult> try_solve_anytime_astar(
   RBPEB_REQUIRE(n <= kExactAstarMaxNodes,
                 "solve_anytime_astar supports at most 1024 nodes");
   for (const AnytimeWeight& w : anytime.weights) {
-    RBPEB_REQUIRE(w.num > 0 && w.den > 0 && w.num >= w.den,
-                  "anytime weights must be ratios >= 1");
+    RBPEB_REQUIRE(valid_anytime_weight(w),
+                  "anytime weights must be ratios from 1 to " +
+                      std::to_string(kMaxAnytimeWeight) +
+                      " with numerators below 2^32");
   }
   RBPEB_REQUIRE(anytime.target_epsilon >= 0.0,
                 "target epsilon must be nonnegative");

@@ -229,6 +229,12 @@ class GreedyRun {
 }  // namespace
 
 Trace solve_greedy(const Engine& engine, const GreedyOptions& options) {
+  RBPEB_REQUIRE(!engine.convention().sources_start_blue,
+                "solve_greedy computes every source, so the engine must not "
+                "use the sources_start_blue convention; solve on the default "
+                "convention and bridge the trace with load_blue_sources "
+                "(gadgets/transforms.hpp), as the registry's greedy adapter "
+                "does");
   GreedyRun run(engine, options);
   return run.run();
 }

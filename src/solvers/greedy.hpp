@@ -48,6 +48,14 @@ struct GreedyOptions {
 ///
 /// The trace computes every node exactly once; it is legal in all four
 /// models (deletions are replaced by stores under nodel) and complete.
+///
+/// Precondition: the engine uses the paper's default start convention.
+/// Greedy computes sources, which `sources_start_blue` forbids, so such an
+/// engine is rejected up front with a PreconditionError. Solve on the
+/// default-convention view of the instance and rewrite the trace with
+/// load_blue_sources (and finish_sinks_blue for `sinks_end_blue`; both in
+/// gadgets/transforms.hpp) — the registry's greedy adapter does exactly
+/// that.
 /// Complexity: O(n · (n + Δ)) time with incremental candidate scoring.
 Trace solve_greedy(const Engine& engine, const GreedyOptions& options = {});
 

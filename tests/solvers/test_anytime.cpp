@@ -24,6 +24,9 @@ namespace rbpeb {
 namespace {
 
 /// A verified greedy pebbling as an IncumbentSeed (cost in scaled units).
+/// solve_greedy refuses `sources_start_blue` engines (PreconditionError), so
+/// this helper only seeds default-start-convention engines; a Hong–Kung
+/// seed would go through load_blue_sources, as the registry does.
 IncumbentSeed greedy_seed(const Engine& engine) {
   Trace trace = solve_greedy(engine);
   const Rational cost = verify_or_throw(engine, trace).total;
@@ -172,6 +175,33 @@ TEST(AnytimeAstar, RejectsWeightsBelowOne) {
   EXPECT_THROW(try_solve_anytime_astar(engine, {}, bad), PreconditionError);
 }
 
+/// Weights past kMaxAnytimeWeight, or with numerators that could overflow
+/// h·num, are refused before the pass allocates its ⌊w·ceiling⌋ + 1 buckets.
+/// Every case here fails validation, so no pass ever starts.
+TEST(AnytimeAstar, RejectsWeightsAboveTheCapBeforeAllocating) {
+  Dag dag = make_chain_dag(6);
+  Engine engine(dag, Model::base(), 2);
+  for (const AnytimeWeight& w :
+       {AnytimeWeight{kMaxAnytimeWeight + 1, 1},
+        AnytimeWeight{2 * kMaxAnytimeWeight + 1, 2},
+        AnytimeWeight{kMaxAnytimeWeightTerm, kMaxAnytimeWeightTerm}}) {
+    AnytimeOptions bad;
+    bad.weights = {{2, 1}, w, {1, 1}};
+    try {
+      (void)try_solve_anytime_astar(engine, {}, bad);
+      FAIL() << "accepted weight " << w.num << "/" << w.den;
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find("16"), std::string::npos)
+          << error.what();
+    }
+  }
+  // The cap itself, and a unit ratio with the largest numerator, are fine.
+  AnytimeOptions edge;
+  edge.weights = {{kMaxAnytimeWeight, 1},
+                  {kMaxAnytimeWeightTerm - 1, kMaxAnytimeWeightTerm - 1}};
+  EXPECT_TRUE(try_solve_anytime_astar(engine, {}, edge).has_value());
+}
+
 // ---- one pass core: exact-astar is the unit-weight pass -------------------
 
 /// A one-pass {1} schedule without a seed is exact-astar: the same cost,
@@ -307,10 +337,14 @@ TEST(AnytimeSolver, WeightScheduleOptionsParseAndValidate) {
   SolveResult result = solver.run(request);
   EXPECT_TRUE(result.ok()) << result.detail;
 
-  for (const char* bad : {"0", "1/2", "2/0", "x", ""}) {
+  for (const char* bad : {"0", "1/2", "2/0", "x", "", "17", "33/2",
+                          "100000000", "4294967296/4294967296",
+                          "9223372036854775807/2"}) {
     request.options["weights"] = bad;
     EXPECT_THROW(solver.run(request), PreconditionError) << bad;
   }
+  request.options["weights"] = "16,4294967295/4294967295";
+  EXPECT_TRUE(solver.run(request).ok());
   request.options["weights"] = "2,1";
   request.options["epsilon"] = "-1";
   EXPECT_THROW(solver.run(request), PreconditionError);

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/gadgets/transforms.hpp"
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
+#include "src/support/check.hpp"
 #include "src/workloads/fft.hpp"
 #include "src/workloads/matmul.hpp"
+#include "src/workloads/pyramid.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/tree_reduction.hpp"
 
@@ -128,6 +131,28 @@ TEST(Greedy, SinksRetainPebbles) {
   for (NodeId sink : dag.sinks()) {
     EXPECT_FALSE(vr.final_state.is_empty(sink));
   }
+}
+
+/// Greedy computes sources, so a Hong–Kung engine (sources pre-loaded blue)
+/// is refused before the run starts, with a message naming the bridge; the
+/// bridge itself turns the default-convention trace into a legal one.
+TEST(Greedy, RejectsSourcesStartBlueUpFrontAndNamesTheBridge) {
+  const Dag dag = make_pyramid_dag(4).dag;
+  PebblingConvention convention;
+  convention.sources_start_blue = true;
+  const Engine strict(dag, Model::oneshot(), 3, convention);
+  try {
+    (void)solve_greedy(strict);
+    FAIL() << "solve_greedy accepted a sources_start_blue engine";
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("sources_start_blue"), std::string::npos) << what;
+    EXPECT_NE(what.find("load_blue_sources"), std::string::npos) << what;
+  }
+
+  const Engine relaxed(dag, Model::oneshot(), 3);
+  const Trace bridged = load_blue_sources(dag, solve_greedy(relaxed));
+  EXPECT_TRUE(verify(strict, bridged).ok());
 }
 
 TEST(GreedyRuleNames, Render) {

@@ -2,7 +2,9 @@
 // where the flat 8^|P| tables exist (force_hashed differential), wider
 // patterns must build real tables that stay admissible, the min-cut
 // partitioner must produce legal partitions, and a byte-budget truncation
-// must weaken the heuristic only downward (floors, never optimism).
+// must weaken the heuristic only downward (floors, never optimism). The
+// hashed tier builds one unshared table per pattern in the partitioner's
+// order, so it is also the oracle for flat tables shared by pattern shape.
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <algorithm>
 
 #include "src/graph/dag_builder.hpp"
+#include "src/instances/spec.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/exact.hpp"
@@ -78,6 +81,125 @@ TEST(HashedPdb, ForcedHashedTablesMatchFlatTablesEverywhere) {
                              /*table_byte_budget=*/0, /*force_hashed=*/true);
       ASSERT_EQ(flat.pattern_count(), hashed.pattern_count());
       walk_and_compare(engine, hashed, flat, /*expect_equal=*/true, ++seed);
+    }
+  }
+}
+
+/// All four start/finish conventions, Hong–Kung sources and sinks included.
+std::vector<PebblingConvention> all_conventions() {
+  std::vector<PebblingConvention> out;
+  for (bool sources_blue : {false, true}) {
+    for (bool sinks_blue : {false, true}) {
+      PebblingConvention convention;
+      convention.sources_start_blue = sources_blue;
+      convention.sinks_end_blue = sinks_blue;
+      out.push_back(convention);
+    }
+  }
+  return out;
+}
+
+/// Bytes the flat tables would take with one table per pattern.
+std::size_t unshared_flat_bytes(const PatternDatabase& db) {
+  std::size_t bytes = 0;
+  for (std::size_t p = 0; p < db.pattern_count(); ++p) {
+    bytes += (std::size_t{1} << (3 * db.pattern_nodes(p).size())) *
+             sizeof(std::int32_t);
+  }
+  return bytes;
+}
+
+/// Flat tables are shared between patterns of one shape (in canonical node
+/// order); the forced-hashed tables are built per pattern in partition
+/// order. On DAGs full of repeated shapes both must serve identical bounds
+/// and dead verdicts everywhere, in every model and convention.
+TEST(HashedPdb, SharedFlatTablesMatchPerPatternTablesOnRepeatedShapes) {
+  std::uint64_t seed = 700;
+  for (const char* spec :
+       {"stencil:width=2,steps=14", "tree:leaves=16",
+        "layered:layers=8,width=6,indegree=2,seed=71"}) {
+    const Dag dag = instances::resolve_instance(spec).dag;
+    for (const Model& model : all_models()) {
+      for (const PebblingConvention& convention : all_conventions()) {
+        const Engine engine(dag, model, min_red_pebbles(dag) + 1, convention);
+        for (std::size_t width : {4u, 6u}) {
+          SCOPED_TRACE(std::string(spec) + " " + model.name() + " width " +
+                       std::to_string(width) + " sources_blue " +
+                       std::to_string(convention.sources_start_blue) +
+                       " sinks_blue " +
+                       std::to_string(convention.sinks_end_blue));
+          PatternDatabase shared(engine, width);
+          PatternDatabase hashed(engine, width, {}, PdbPartition::Cone,
+                                 /*table_byte_budget=*/0,
+                                 /*force_hashed=*/true);
+          ASSERT_EQ(shared.pattern_count(), hashed.pattern_count());
+          EXPECT_LT(shared.table_bytes(), unshared_flat_bytes(shared))
+              << "no two patterns shared a table";
+          walk_and_compare(engine, shared, hashed, /*expect_equal=*/true,
+                           ++seed);
+        }
+      }
+    }
+  }
+}
+
+/// k disjoint copies of one component, each relabelled differently, are k
+/// patterns of one shape: the database holds a single copy's table, and the
+/// copies' bounds add up.
+TEST(HashedPdb, DisjointRelabelledCopiesShareOneTable) {
+  constexpr std::size_t kSize = 6;
+  constexpr std::size_t kCopies = 5;
+  const std::vector<std::pair<NodeId, NodeId>> edges = {
+      {0, 2}, {1, 2}, {1, 3}, {2, 4}, {3, 4}, {4, 5}, {0, 5}};
+  auto copies = [&](std::size_t k) {
+    DagBuilder builder;
+    builder.add_nodes(k * kSize);
+    for (std::size_t c = 0; c < k; ++c) {
+      // Copy c relabels node i as (5i + c) mod 6 inside its own id block.
+      auto id = [&](NodeId i) {
+        return static_cast<NodeId>(c * kSize + (5 * i + c) % kSize);
+      };
+      for (const auto& [from, to] : edges) builder.add_edge(id(from), id(to));
+    }
+    return builder.build();
+  };
+  const Dag one = copies(1);
+  const Dag many = copies(kCopies);
+  for (const Model& model : all_models()) {
+    for (const PebblingConvention& convention : all_conventions()) {
+      const Engine single(one, model, 3, convention);
+      const Engine multiple(many, model, 3, convention);
+      const PatternDatabase single_db(single, kSize);
+      const PatternDatabase multiple_db(multiple, kSize);
+      ASSERT_EQ(single_db.pattern_count(), 1u);
+      ASSERT_EQ(multiple_db.pattern_count(), kCopies);
+      EXPECT_EQ(multiple_db.table_bytes(), single_db.table_bytes());
+      EXPECT_EQ(single_db.table_bytes(),
+                (std::size_t{1} << (3 * kSize)) * sizeof(std::int32_t));
+      const auto one_bound = single_db.lower_bound_scaled(single.initial_state());
+      const auto all_bound =
+          multiple_db.lower_bound_scaled(multiple.initial_state());
+      ASSERT_TRUE(one_bound.has_value());
+      ASSERT_TRUE(all_bound.has_value());
+      EXPECT_EQ(*all_bound, static_cast<std::int64_t>(kCopies) * *one_bound);
+    }
+  }
+}
+
+/// A build stopped at any point reports build_aborted() and counts only the
+/// tables it finished; one that ran to the end serves the full bounds.
+TEST(HashedPdb, StoppedBuildsNeverCountAPartialTable) {
+  const Dag dag = instances::resolve_instance("tree:leaves=32").dag;
+  const Engine engine(dag, Model::nodel(), 4);
+  const PatternDatabase full(engine, 6);
+  for (int fire_at : {1, 2, 5, 13, 40, 120}) {
+    int polls = 0;
+    const PatternDatabase cut(engine, 6, [&] { return ++polls >= fire_at; });
+    if (cut.build_aborted()) {
+      EXPECT_LT(cut.table_bytes(), full.table_bytes()) << fire_at;
+    } else {
+      EXPECT_EQ(cut.table_bytes(), full.table_bytes()) << fire_at;
+      walk_and_compare(engine, cut, full, /*expect_equal=*/true, 800);
     }
   }
 }
